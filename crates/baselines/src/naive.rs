@@ -35,13 +35,14 @@ pub fn coordinator_ship_all<P: LpTypeProblem, R: Rng>(
     k: usize,
     rng: &mut R,
 ) -> Result<(P::Solution, u64, u64), SolveError> {
-    let mut sim = CoordSim::round_robin(data, k);
+    // Site `i` holds the round-robin share `data[i], data[i + k], …`.
+    let mut sim = CoordSim::new(k);
     sim.begin_round();
-    let mut all: Vec<P::Constraint> = Vec::with_capacity(sim.total_len());
-    for i in 0..sim.k() {
-        let bits = sim.site(i).len() as u64 * problem.constraint_bits();
-        sim.charge_up(&Raw(bits));
-        all.extend_from_slice(sim.site(i));
+    let mut all: Vec<P::Constraint> = Vec::with_capacity(data.len());
+    for i in 0..k {
+        let site = data.iter().skip(i).step_by(k);
+        sim.charge_up(&Raw(site.len() as u64 * problem.constraint_bits()));
+        all.extend(site.cloned());
     }
     let sol = problem.solve_subset(&all, rng)?;
     Ok((sol, sim.meter.rounds(), sim.meter.total_bits()))

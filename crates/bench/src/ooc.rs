@@ -15,8 +15,8 @@
 //!   `read_scenario_data` loader, then the shared `llp_service`
 //!   dispatch (the same code path as the report grid).
 //! * **coordinator** — sites load their shards straight from the file
-//!   through `read_scenario_partitioned` (geometrically skewed layouts
-//!   included), then `llp_bigdata::coordinator::solve_partitioned`.
+//!   as columns through `llp_store::read_partitioned` (geometrically
+//!   skewed layouts included), then `llp_bigdata::coordinator::solve_columns`.
 //!
 //! At [`RunBudget::Huge`] only the streaming model runs — the whole
 //! point of the tier is an instance (`n ≥ 10^8`) that is never held in
@@ -219,18 +219,18 @@ fn loaded_cell<P: ColumnarProblem>(ctx: &ScenarioCtx<'_>, problem: &P, model: Mo
 }
 
 /// The coordinator cell: each site's shard is loaded straight from the
-/// file (`read_partitioned` honors the scenario's skewed layout), then
-/// the sites run Lemma 3.7's protocol.
+/// file as columns (`read_partitioned` honors the scenario's skewed
+/// layout), then the sites run Lemma 3.7's protocol.
 fn coordinator_cell<P: ColumnarProblem>(ctx: &ScenarioCtx<'_>, problem: &P) -> OocCell {
     let sc = ctx.sc;
     let sizes = sc.partition_sizes(ctx.rows as usize, COORD_SITES);
-    let (parts, _header, bytes_read) = llp_store::read_partitioned(ctx.path, problem, &sizes)
+    let (sites, _header, bytes_read) = llp_store::read_partitioned(ctx.path, &sizes)
         .unwrap_or_else(|e| panic!("{}: partition-loading {}: {e}", sc.name, ctx.path.display()));
     let cfg = ClarksonConfig::lean(sc.r);
     let mut rng = StdRng::seed_from_u64(solver_seed(sc, "coordinator"));
     // llp-analyzer: allow(wall-clock) -- wall_ms meters the solve; the reading never feeds solver state
     let start = std::time::Instant::now();
-    let (sol, stats) = coordinator::solve_partitioned(problem, parts, &cfg, &mut rng)
+    let (sol, stats) = coordinator::solve_columns(problem, sites, &cfg, &mut rng)
         .unwrap_or_else(|e| panic!("{}/coordinator: {e:?}", sc.name));
     let wall_ms = start.elapsed().as_secs_f64() * 1000.0;
     let mut cell = ctx.cell("coordinator");
@@ -238,8 +238,8 @@ fn coordinator_cell<P: ColumnarProblem>(ctx: &ScenarioCtx<'_>, problem: &P) -> O
     cell.iterations = stats.iterations as u64;
     cell.objective = problem.objective_value(&sol);
     cell.violations = {
-        // The partitions were consumed by the protocol; certify against
-        // a fresh (unmetered) load, like the streaming sweep.
+        // The sites were consumed by the protocol; certify against a
+        // fresh (unmetered) load, like the streaming sweep.
         let (data, _, _) = llp_store::read_all(ctx.path, problem).expect("verification reload");
         count_violations(problem, &sol, &data) as u64
     };
@@ -269,7 +269,6 @@ mod tests {
             budget: "quick".to_string(),
             cells: Vec::new(),
             service: Vec::new(),
-            columnar: Vec::new(),
             net: Vec::new(),
             ooc,
         };

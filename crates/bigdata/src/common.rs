@@ -10,20 +10,20 @@
 //! Where a holder is *not* space-bounded — every coordinator site and MPC
 //! machine keeps its whole partition resident — per-round recomputation is
 //! pure waste: only the violators of an accepted basis change weight. Such
-//! holders carry a [`SiteWeights`]: a persistent Fenwick-backed
-//! [`WeightIndex`] updated in `O(|V| log n)` from each round's violator
-//! list, with O(1) totals and O(log n) sampling. Weights are derived
-//! state — they never travel — so the communication meters are unaffected.
-//! The streaming model stays on the [`WeightOracle`] recompute path: its
-//! space bound forbids materializing per-element weights, and the
-//! slice-level oracle helpers (`total_weight`, `weights`,
-//! `violation_scan`) remain the recompute reference implementation. The
-//! chunk-parallel scans here run on the `llp_par` pool with fixed chunk
-//! boundaries and ordered merges: results are bit-identical for any
-//! `LLP_THREADS`, and the metered communication is untouched because the
-//! simulators charge outside these scans.
+//! holders are a [`SiteWeights`]: the partition's rows, held once as
+//! [`ConstraintColumns`], plus a persistent Fenwick-backed [`WeightIndex`]
+//! updated in `O(|V| log n)` from each round's violator list, with O(1)
+//! totals and O(log n) sampling. Weights are derived state — they never
+//! travel — so the communication meters are unaffected. The streaming
+//! model stays on the [`WeightOracle`] recompute path: its space bound
+//! forbids materializing per-element weights. The holders' chunk-parallel
+//! scans run on the `llp_par` pool with fixed chunk boundaries and
+//! ordered merges: results are bit-identical for any `LLP_THREADS`, and
+//! the metered communication is untouched because the simulators charge
+//! outside these scans.
 
-use llp_core::lptype::LpTypeProblem;
+use llp_core::lptype::{ColumnarProblem, LpTypeProblem};
+use llp_geom::ConstraintColumns;
 use llp_num::ScaledF64;
 use llp_sampling::weight_index::WeightIndex;
 use rand::Rng;
@@ -78,75 +78,17 @@ impl<P: LpTypeProblem> WeightOracle<P> {
         ScaledF64::powi(self.factor, self.exponent(problem, c))
     }
 
-    /// Total weight of a slice of constraints, recomputed chunk-parallel
-    /// with an ordered merge (deterministic for any thread count; inputs
-    /// below one chunk reduce inline with the same association order).
-    pub fn total_weight(&self, problem: &P, cs: &[P::Constraint]) -> ScaledF64 {
-        llp_par::par_map_reduce(
-            cs,
-            llp_par::DEFAULT_CHUNK,
-            ScaledF64::ZERO,
-            |_, chunk| chunk.iter().map(|c| self.weight(problem, c)).sum(),
-            |a, b| a + b,
-        )
-    }
-
-    /// Per-constraint weights of a slice, in input order. Parallelizes the
-    /// `O(t·d)` recomputation per element; the output vector is identical
-    /// for any thread count, so sequential prefix sums built on it (the
-    /// sites' sampling path) stay bit-identical too.
-    pub fn weights(&self, problem: &P, cs: &[P::Constraint]) -> Vec<ScaledF64> {
-        let chunks = llp_par::par_chunks(cs, llp_par::DEFAULT_CHUNK, |_, chunk| {
-            chunk
-                .iter()
-                .map(|c| self.weight(problem, c))
-                .collect::<Vec<_>>()
-        });
-        let mut out = Vec::with_capacity(cs.len());
-        for chunk in chunks {
-            out.extend(chunk);
-        }
-        out
-    }
-
-    /// Violator weight and count of `solution` over a slice — one fused
-    /// pass over the two hot predicates (violation test + weight
-    /// recomputation), chunk-parallel with ordered merge.
-    pub fn violation_scan(
-        &self,
-        problem: &P,
-        solution: &P::Solution,
-        cs: &[P::Constraint],
-    ) -> (ScaledF64, usize) {
-        llp_par::par_map_reduce(
-            cs,
-            llp_par::DEFAULT_CHUNK,
-            (ScaledF64::ZERO, 0usize),
-            |_, chunk| {
-                let mut w = ScaledF64::ZERO;
-                let mut count = 0usize;
-                for c in chunk {
-                    if problem.violates(solution, c) {
-                        count += 1;
-                        w += self.weight(problem, c);
-                    }
-                }
-                (w, count)
-            },
-            |(w_a, c_a), (w_b, c_b)| (w_a + w_b, c_a + c_b),
-        )
-    }
-
     /// Bits this history occupies (the `Õ(ν²)·bit(S)` term of Theorem 1).
     pub fn bits(&self, problem: &P) -> u64 {
         problem.solution_bits() * self.bases.len() as u64
     }
 }
 
-/// The persistent incremental weight state of one holder (a coordinator
-/// site or an MPC machine): a [`WeightIndex`] over the holder's local
-/// constraints, updated from each round's violator list instead of
-/// recomputed from the basis history.
+/// One holder of the coordinator or MPC model (a site or a machine):
+/// its partition's rows, held exactly once as columns, plus the
+/// persistent incremental weight state over them — a [`WeightIndex`]
+/// updated from each round's violator list instead of recomputed from
+/// the basis history.
 ///
 /// Protocol shape: the verdict on a basis arrives one round *after* the
 /// holder scanned for its violators, so the scan result is **staged**
@@ -156,6 +98,7 @@ impl<P: LpTypeProblem> WeightOracle<P> {
 /// shipped; all metering stays in the callers.
 #[derive(Clone, Debug)]
 pub struct SiteWeights {
+    columns: ConstraintColumns,
     index: WeightIndex,
     factor: f64,
     /// Local violator indices of the basis whose verdict is pending.
@@ -163,14 +106,26 @@ pub struct SiteWeights {
 }
 
 impl SiteWeights {
-    /// All-ones weights over `n` local constraints (Line 2 of Algorithm 1).
-    pub fn new(n: usize, factor: f64) -> Self {
+    /// Takes ownership of a partition's rows with all-ones weights
+    /// (Line 2 of Algorithm 1).
+    pub fn new(columns: ConstraintColumns, factor: f64) -> Self {
         assert!(factor > 1.0, "weight factor must exceed 1");
         SiteWeights {
-            index: WeightIndex::uniform(n),
+            index: WeightIndex::uniform(columns.len()),
+            columns,
             factor,
             staged: Vec::new(),
         }
+    }
+
+    /// Number of rows this holder keeps.
+    pub fn len(&self) -> usize {
+        self.columns.len()
+    }
+
+    /// True iff the holder keeps no rows.
+    pub fn is_empty(&self) -> bool {
+        self.columns.is_empty()
     }
 
     /// The holder's total local weight `w(S_i)` — O(1), no recompute.
@@ -184,44 +139,20 @@ impl SiteWeights {
     }
 
     /// Finds the local violators of `solution` — one fused violation-test
-    /// and weight scan, chunk-parallel with an ordered merge
-    /// (bit-identical for any thread count), with each weight an O(1)
-    /// index read instead of an O(t·d) recompute — stages their indices
-    /// for the next verdict, and returns their weight `w(V_i)` and count.
-    pub fn scan_and_stage<P: LpTypeProblem>(
+    /// and weight scan over the holder's columns, chunk-parallel with an
+    /// ordered merge (bit-identical for any thread count), with each
+    /// weight an O(1) index read — stages their indices for the next
+    /// verdict (refilling the staged buffer in place), and returns their
+    /// weight `w(V_i)` and count.
+    pub fn scan_and_stage<P: ColumnarProblem>(
         &mut self,
         problem: &P,
         solution: &P::Solution,
-        cs: &[P::Constraint],
     ) -> (ScaledF64, usize) {
-        let (violators, w) =
-            llp_core::lptype::scan_violators_weighted(problem, solution, cs, &self.index);
-        let count = violators.len();
-        self.staged = violators;
-        (w, count)
-    }
-
-    /// [`scan_and_stage`](Self::scan_and_stage) over the holder's
-    /// columnar mirror: same chunk grid, same staged indices and weight
-    /// (bit-identical to the AoS scan at any thread count), but the
-    /// branch-light column kernel does the walking and the staged buffer
-    /// is refilled in place instead of reallocated. `columns` must be
-    /// the transposition of the same local slice this holder indexes.
-    pub fn scan_and_stage_columnar<P: llp_core::lptype::ColumnarProblem>(
-        &mut self,
-        problem: &P,
-        solution: &P::Solution,
-        columns: &llp_geom::ConstraintColumns,
-    ) -> (ScaledF64, usize) {
-        assert_eq!(
-            columns.len(),
-            self.index.len(),
-            "scanning columns this holder does not index"
-        );
         let w = llp_core::lptype::scan_violators_weighted_columnar(
             problem,
             solution,
-            columns,
+            &self.columns,
             &self.index,
             &mut self.staged,
         );
@@ -240,39 +171,77 @@ impl SiteWeights {
         }
     }
 
-    /// Draws `count` i.i.d. local indices proportional to weight — one
-    /// O(log n) descent each — sorted and deduplicated (net membership is
-    /// a set). Empty when the holder has no weight.
-    pub fn sample_indices<R: Rng + ?Sized>(&self, count: usize, rng: &mut R) -> Vec<usize> {
-        if count == 0 || self.index.total().is_zero() {
-            return Vec::new();
-        }
-        let mut idxs: Vec<usize> = (0..count).map(|_| self.index.draw(rng)).collect();
-        idxs.sort_unstable();
-        idxs.dedup();
-        idxs
-    }
-
-    /// [`sample_indices`](Self::sample_indices) resolved against the
-    /// holder's local data: the net contribution the coordinator/MPC legs
-    /// ship upward. `data` must be the same slice this holder was built
-    /// over and scans — enforced by length.
-    pub fn sample_constraints<C: Clone, R: Rng + ?Sized>(
+    /// Draws `count` i.i.d. local rows proportional to weight — one
+    /// O(log n) descent each, deduplicated (net membership is a set) —
+    /// and appends them in ascending row order to `net`, rebuilt through
+    /// [`ColumnarProblem::from_row`]: the net contribution a site or
+    /// machine ships upward. Appends nothing when the holder has no
+    /// weight. Returns how many rows were appended.
+    pub fn sample_rows<P: ColumnarProblem, R: Rng + ?Sized>(
         &self,
-        data: &[C],
+        problem: &P,
         count: usize,
         rng: &mut R,
-    ) -> Vec<C> {
-        assert_eq!(
-            data.len(),
-            self.index.len(),
-            "sampling against a slice this holder does not index"
-        );
-        self.sample_indices(count, rng)
-            .into_iter()
-            .map(|j| data[j].clone())
-            .collect()
+        net: &mut Vec<P::Constraint>,
+    ) -> usize {
+        if count == 0 || self.index.total().is_zero() {
+            return 0;
+        }
+        let mut picked: Vec<usize> = (0..count).map(|_| self.index.draw(rng)).collect();
+        picked.sort_unstable();
+        picked.dedup();
+        self.push_rows(problem, picked.iter().copied(), net)
     }
+
+    /// Appends every row to `net` (the ε-net formula covers the whole
+    /// input, so each holder ships its partition). Returns the row count.
+    pub fn all_rows<P: ColumnarProblem>(&self, problem: &P, net: &mut Vec<P::Constraint>) -> usize {
+        self.push_rows(problem, 0..self.len(), net)
+    }
+
+    fn push_rows<P: ColumnarProblem>(
+        &self,
+        problem: &P,
+        rows: impl ExactSizeIterator<Item = usize>,
+        net: &mut Vec<P::Constraint>,
+    ) -> usize {
+        let count = rows.len();
+        net.reserve(count);
+        let mut coords = Vec::with_capacity(self.columns.dim());
+        for j in rows {
+            let extra = self.columns.row(j, &mut coords);
+            net.push(problem.from_row(&coords, extra));
+        }
+        count
+    }
+}
+
+/// Cuts `data` into contiguous blocks of the given sizes, each
+/// transposed into its own columns — the per-holder layout the
+/// coordinator and MPC `solve_columns` entry points take, cut straight
+/// from a borrowed slice without an intermediate copy of the rows.
+///
+/// # Panics
+/// Panics if `sizes` does not sum to `data.len()`.
+pub fn column_blocks<P: ColumnarProblem>(
+    problem: &P,
+    data: &[P::Constraint],
+    sizes: &[usize],
+) -> Vec<ConstraintColumns> {
+    assert_eq!(
+        sizes.iter().sum::<usize>(),
+        data.len(),
+        "block sizes must cover the input"
+    );
+    let mut start = 0;
+    sizes
+        .iter()
+        .map(|&len| {
+            let block = problem.to_columns(&data[start..start + len]);
+            start += len;
+            block
+        })
+        .collect()
 }
 
 /// Shared per-run parameters derived from the paper's formulas.
@@ -328,17 +297,6 @@ mod tests {
     }
 
     #[test]
-    fn total_weight_starts_at_n() {
-        let p = LpProblem::new(vec![1.0, 1.0]);
-        let oracle: WeightOracle<LpProblem> = WeightOracle::new(7.0);
-        let cs: Vec<Halfspace> = (0..50)
-            .map(|i| Halfspace::new(vec![1.0, 0.0], i as f64))
-            .collect();
-        let total = oracle.total_weight(&p, &cs);
-        assert!((total.to_f64() - 50.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn run_params_match_formulas() {
         let p = LpProblem::new(vec![1.0, 1.0]);
         let cfg = ClarksonConfig::paper(2);
@@ -356,11 +314,12 @@ mod tests {
         let cs: Vec<Halfspace> = (0..10)
             .map(|b| Halfspace::new(vec![1.0, 1.0], f64::from(b)))
             .collect();
-        let mut site = SiteWeights::new(cs.len(), 3.0);
+        let mut site = SiteWeights::new(p.to_columns(&cs), 3.0);
+        assert_eq!(site.len(), 10);
         assert!((site.total().to_f64() - 10.0).abs() < 1e-9);
 
         let probe = vec![4.5, 0.0];
-        let (w, count) = site.scan_and_stage(&p, &probe, &cs);
+        let (w, count) = site.scan_and_stage(&p, &probe);
         assert_eq!(count, 5);
         assert!((w.to_f64() - 5.0).abs() < 1e-9);
 
@@ -369,7 +328,7 @@ mod tests {
         assert!((site.total().to_f64() - 10.0).abs() < 1e-9);
 
         // Accepted verdict: the five violators triple.
-        let _ = site.scan_and_stage(&p, &probe, &cs);
+        let _ = site.scan_and_stage(&p, &probe);
         site.resolve(true);
         assert!((site.total().to_f64() - (5.0 * 3.0 + 5.0)).abs() < 1e-9);
         assert!((site.weight(0).to_f64() - 3.0).abs() < 1e-9);
@@ -377,29 +336,38 @@ mod tests {
 
         // A second accepted round compounds multiplicatively and the
         // staged list is consumed each time (idempotent resolve).
-        let _ = site.scan_and_stage(&p, &probe, &cs);
+        let _ = site.scan_and_stage(&p, &probe);
         site.resolve(true);
         site.resolve(true);
         assert!((site.weight(0).to_f64() - 9.0).abs() < 1e-9);
     }
 
     #[test]
-    fn site_weights_sampling_prefers_heavy_elements() {
+    fn site_weights_sampling_prefers_heavy_rows_and_rebuilds_them() {
         use rand::rngs::StdRng;
         use rand::SeedableRng;
         let p = LpProblem::new(vec![1.0, 1.0]);
         let cs: Vec<Halfspace> = (0..4)
             .map(|b| Halfspace::new(vec![1.0, 1.0], f64::from(b)))
             .collect();
-        let mut site = SiteWeights::new(cs.len(), 1000.0);
+        let mut site = SiteWeights::new(p.to_columns(&cs), 1000.0);
         // Make element 0 dominate: (0.5, 0) violates only b = 0.
         let probe = vec![0.5, 0.0];
-        let _ = site.scan_and_stage(&p, &probe, &cs);
+        let _ = site.scan_and_stage(&p, &probe);
         site.resolve(true);
         let mut rng = StdRng::seed_from_u64(7);
-        let picked = site.sample_indices(64, &mut rng);
-        assert!(picked.contains(&0), "dominant element missing: {picked:?}");
-        assert!(site.sample_indices(0, &mut rng).is_empty());
+        let mut net = Vec::new();
+        let picked = site.sample_rows(&p, 64, &mut rng, &mut net);
+        assert_eq!(picked, net.len());
+        assert_eq!(
+            net[0], cs[0],
+            "dominant row missing or not rebuilt: {net:?}"
+        );
+        assert_eq!(site.sample_rows(&p, 0, &mut rng, &mut net), 0);
+        // Shipping everything appends every row, bit-identical.
+        let mut all = Vec::new();
+        assert_eq!(site.all_rows(&p, &mut all), cs.len());
+        assert_eq!(all, cs);
     }
 
     #[test]

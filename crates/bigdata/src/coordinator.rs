@@ -87,21 +87,37 @@ pub fn solve_partitioned<P: ColumnarProblem, R: Rng>(
     cfg: &ClarksonConfig,
     rng: &mut R,
 ) -> Result<(P::Solution, CoordinatorStats), BigDataError> {
-    let n: usize = partitions.iter().map(Vec::len).sum();
+    let sites = partitions.iter().map(|p| problem.to_columns(p)).collect();
+    // The sites keep only their columns: free the rows before solving.
+    drop(partitions);
+    solve_columns(problem, sites, cfg, rng)
+}
+
+/// Runs Algorithm 1 with site `i` holding the rows of `sites[i]` — the
+/// entry point every other one funnels into. Each site keeps its rows
+/// exactly once, inside its [`SiteWeights`] holder; the simulator only
+/// meters the messages.
+///
+/// # Panics
+/// Panics if `sites` is empty or holds no rows overall.
+pub fn solve_columns<P: ColumnarProblem, R: Rng>(
+    problem: &P,
+    sites: Vec<ConstraintColumns>,
+    cfg: &ClarksonConfig,
+    rng: &mut R,
+) -> Result<(P::Solution, CoordinatorStats), BigDataError> {
+    let n: usize = sites.iter().map(ConstraintColumns::len).sum();
     assert!(n > 0, "empty input");
-    let k = partitions.len();
+    let k = sites.len();
     let params = RunParams::derive(problem, n, cfg);
-    let mut sim = CoordSim::from_partitions(partitions);
-    // Persistent per-site weight indices: every site tracks its own
-    // partition's weights incrementally from the violator lists it scans
-    // anyway in round 3, so no round ever recomputes a weight.
-    let mut sites: Vec<SiteWeights> = (0..k)
-        .map(|i| SiteWeights::new(sim.site(i).len(), params.factor))
+    let mut sim = CoordSim::new(k);
+    // Persistent per-site holders: every site tracks its own partition's
+    // weights incrementally from the violator lists it scans anyway in
+    // round 3, so no round ever recomputes a weight.
+    let mut sites: Vec<SiteWeights> = sites
+        .into_iter()
+        .map(|cols| SiteWeights::new(cols, params.factor))
         .collect();
-    // Each site's columnar mirror of its partition, transposed once and
-    // scanned every round-3; local storage, so the meters are untouched.
-    let site_columns: Vec<ConstraintColumns> =
-        (0..k).map(|i| problem.to_columns(sim.site(i))).collect();
 
     let mut stats = CoordinatorStats {
         net_size: params.net_size,
@@ -143,28 +159,25 @@ pub fn solve_partitioned<P: ColumnarProblem, R: Rng>(
         if params.net_size >= n {
             // The ε-net formula covers the whole input: sites ship
             // everything (a trivially valid net).
-            for i in 0..k {
+            for site in &sites {
                 sim.charge_down(&0u64);
-                sim.charge_up(&RawBits(
-                    sim.site(i).len() as u64 * problem.constraint_bits(),
-                ));
-                net.extend_from_slice(sim.site(i));
+                let shipped = site.all_rows(problem, &mut net);
+                sim.charge_up(&RawBits(shipped as u64 * problem.constraint_bits()));
             }
         } else {
             let weights_f64: Vec<f64> =
                 site_weights.iter().map(|w| w.ratio(total_weight)).collect();
             let counts =
                 llp_sampling::discrete::multinomial(params.net_size as u64, &weights_f64, rng);
-            for i in 0..k {
-                sim.charge_down(&(counts[i]));
-                if counts[i] == 0 {
+            for (site, &count) in sites.iter().zip(&counts) {
+                sim.charge_down(&count);
+                if count == 0 {
                     continue;
                 }
                 // The site inverts its draws directly against its index —
                 // O(log n_i) each, no prefix table.
-                let picked = sites[i].sample_constraints(sim.site(i), counts[i] as usize, rng);
-                sim.charge_up(&RawBits(picked.len() as u64 * problem.constraint_bits()));
-                net.extend(picked);
+                let picked = site.sample_rows(problem, count as usize, rng, &mut net);
+                sim.charge_up(&RawBits(picked as u64 * problem.constraint_bits()));
             }
         }
 
@@ -177,15 +190,14 @@ pub fn solve_partitioned<P: ColumnarProblem, R: Rng>(
         sim.begin_round();
         let mut w_violators = ScaledF64::ZERO;
         let mut violator_count = 0usize;
-        for i in 0..k {
+        for site in &mut sites {
             sim.charge_down(&RawBits(problem.solution_bits()));
             // The site's fused violation-test + weight scan runs on the
-            // llp_par pool over its columnar mirror, reading weights off
-            // its index; the violator indices are staged locally for next
+            // llp_par pool over its columns, reading weights off its
+            // index; the violator indices are staged locally for next
             // round's verdict. The metered messages below are identical
             // to the sequential protocol — the staged list never travels.
-            let (local_w, local_count) =
-                sites[i].scan_and_stage_columnar(problem, &solution, &site_columns[i]);
+            let (local_w, local_count) = site.scan_and_stage(problem, &solution);
             sim.charge_up(&(0.0f64, 0u64)); // w(V_i): 128 bits
             sim.charge_up(&0u64); // count: 64 bits
             w_violators += local_w;

@@ -18,7 +18,7 @@
 //! With `r = ⌈1/δ⌉` outer iterations parameter, the total is `O(ν/δ²)`
 //! rounds at `Õ(λ n^δ ν²)·bit(S)` load, matching Theorem 3.
 
-use crate::common::{RunParams, SiteWeights};
+use crate::common::{column_blocks, RunParams, SiteWeights};
 use crate::BigDataError;
 use llp_core::lptype::ColumnarProblem;
 use llp_core::ClarksonConfig;
@@ -156,8 +156,18 @@ pub fn machine_count(n: usize, delta: f64) -> usize {
     ((n as f64).powf(1.0 - delta).ceil() as usize).clamp(1, n)
 }
 
+/// The machine layout [`solve`] uses for `n` constraints over `k`
+/// machines: contiguous chunks of `⌈n/k⌉` rows in input order, so the
+/// last machines may be short or empty.
+pub fn chunk_sizes(n: usize, k: usize) -> Vec<usize> {
+    let chunk = n.div_ceil(k).max(1);
+    (0..k)
+        .map(|i| n.saturating_sub(i * chunk).min(chunk))
+        .collect()
+}
+
 /// Runs Algorithm 1 over constraints partitioned evenly across
-/// `⌈n^{1-δ}⌉` machines.
+/// `⌈n^{1-δ}⌉` machines ([`chunk_sizes`]).
 ///
 /// # Panics
 /// Panics if `data` is empty.
@@ -168,15 +178,11 @@ pub fn solve<P: ColumnarProblem, R: Rng>(
     rng: &mut R,
 ) -> Result<(P::Solution, MpcStats), BigDataError> {
     assert!(!data.is_empty(), "empty input");
-    let n = data.len();
-    let k = machine_count(n, cfg.delta);
-    let chunk = n.div_ceil(k).max(1);
-    let mut machines: Vec<Vec<P::Constraint>> = Vec::with_capacity(k);
-    let mut it = data.into_iter();
-    for _ in 0..k {
-        machines.push(it.by_ref().take(chunk).collect());
-    }
-    solve_partitioned(problem, machines, cfg, rng)
+    let sizes = chunk_sizes(data.len(), machine_count(data.len(), cfg.delta));
+    let machines = column_blocks(problem, &data, &sizes);
+    // The machines keep only their columns: free the rows before solving.
+    drop(data);
+    solve_columns(problem, machines, cfg, rng)
 }
 
 /// Runs Algorithm 1 over an explicit machine partition (machine count =
@@ -193,28 +199,43 @@ pub fn solve_partitioned<P: ColumnarProblem, R: Rng>(
     cfg: &MpcConfig,
     rng: &mut R,
 ) -> Result<(P::Solution, MpcStats), BigDataError> {
-    let n: usize = partitions.iter().map(Vec::len).sum();
+    let machines = partitions.iter().map(|p| problem.to_columns(p)).collect();
+    // The machines keep only their columns: free the rows before solving.
+    drop(partitions);
+    solve_columns(problem, machines, cfg, rng)
+}
+
+/// Runs Algorithm 1 with machine `i` holding the rows of `machines[i]`
+/// — the entry point every other one funnels into. Each machine keeps
+/// its rows exactly once, inside its [`SiteWeights`] holder; the
+/// simulator only meters the load.
+///
+/// # Panics
+/// Panics if `machines` is empty or holds no rows overall.
+pub fn solve_columns<P: ColumnarProblem, R: Rng>(
+    problem: &P,
+    machines: Vec<ConstraintColumns>,
+    cfg: &MpcConfig,
+    rng: &mut R,
+) -> Result<(P::Solution, MpcStats), BigDataError> {
+    let n: usize = machines.iter().map(ConstraintColumns::len).sum();
     assert!(n > 0, "empty input");
-    let k = partitions.len();
+    let k = machines.len();
     let fanout = ((n as f64).powf(cfg.delta).ceil() as usize).max(2);
     let clarkson = cfg.clarkson();
     let params = RunParams::derive(problem, n, &clarkson);
 
-    let mut sim = MpcSim::from_partitions(partitions);
+    let mut sim = MpcSim::new(k);
     let tree = Tree { k, fanout };
     let depth = tree.depth();
-    // Persistent per-machine weight indices, updated incrementally from
-    // the violator lists each machine scans anyway — the basis verdicts
+    // Persistent per-machine holders, updated incrementally from the
+    // violator lists each machine scans anyway — the basis verdicts
     // broadcast down the tree keep every index in sync, and no round
     // recomputes a weight from the basis history.
-    let mut machines: Vec<SiteWeights> = (0..k)
-        .map(|i| SiteWeights::new(sim.machine(i).len(), params.factor))
+    let mut machines: Vec<SiteWeights> = machines
+        .into_iter()
+        .map(|cols| SiteWeights::new(cols, params.factor))
         .collect();
-    // Each machine's columnar mirror of its partition, transposed once
-    // and scanned every iteration; local storage, so the load meters are
-    // untouched.
-    let machine_columns: Vec<ConstraintColumns> =
-        (0..k).map(|i| problem.to_columns(sim.machine(i))).collect();
 
     let mut stats = MpcStats {
         k,
@@ -248,7 +269,7 @@ pub fn solve_partitioned<P: ColumnarProblem, R: Rng>(
         // full partition (a trivially valid net). ----
         let take_all = params.net_size >= n;
         let counts: Vec<u64> = if take_all {
-            (0..k).map(|i| sim.machine(i).len() as u64).collect()
+            machines.iter().map(|m| m.len() as u64).collect()
         } else {
             split_counts(
                 &mut sim,
@@ -264,24 +285,19 @@ pub fn solve_partitioned<P: ColumnarProblem, R: Rng>(
         // ---- Samples to the root (one direct round). ----
         sim.begin_round();
         let mut net: Vec<P::Constraint> = Vec::with_capacity(params.net_size.min(n));
-        for i in 0..k {
+        for (i, machine) in machines.iter().enumerate() {
             if counts[i] == 0 {
                 continue;
             }
             let sampled = if take_all {
-                sim.machine(i).to_vec()
+                machine.all_rows(problem, &mut net)
             } else {
                 // Inversion draws straight off the machine's index.
-                machines[i].sample_constraints(sim.machine(i), counts[i] as usize, rng)
+                machine.sample_rows(problem, counts[i] as usize, rng, &mut net)
             };
             if i != 0 {
-                sim.charge(
-                    i,
-                    0,
-                    &RawBits(sampled.len() as u64 * problem.constraint_bits()),
-                );
+                sim.charge(i, 0, &RawBits(sampled as u64 * problem.constraint_bits()));
             }
-            net.extend(sampled);
         }
         sim.end_round();
 
@@ -295,12 +311,12 @@ pub fn solve_partitioned<P: ColumnarProblem, R: Rng>(
 
         // ---- Violator weights converge-cast. Each machine's fused
         // violation-test + weight scan runs on the llp_par pool over its
-        // columnar mirror, reading weights off its index and staging the
+        // columns, reading weights off its index and staging the
         // violator indices for the next verdict broadcast (the staged
         // lists never travel). ----
-        let local_viol: Vec<(ScaledF64, usize)> = (0..k)
-            .zip(machine_columns.iter())
-            .map(|(i, cols)| machines[i].scan_and_stage_columnar(problem, &solution, cols))
+        let local_viol: Vec<(ScaledF64, usize)> = machines
+            .iter_mut()
+            .map(|m| m.scan_and_stage(problem, &solution))
             .collect();
         let viol_w: Vec<ScaledF64> = local_viol.iter().map(|v| v.0).collect();
         let agg_w = converge_sum(&mut sim, &tree, depth, &viol_w, 192);
@@ -329,7 +345,7 @@ pub fn solve_partitioned<P: ColumnarProblem, R: Rng>(
 
 /// Broadcasts a payload of `bits` from the root to every machine, one tree
 /// level per round.
-fn broadcast_down<C>(sim: &mut MpcSim<C>, tree: &Tree, depth: usize, bits: u64) {
+fn broadcast_down(sim: &mut MpcSim, tree: &Tree, depth: usize, bits: u64) {
     for l in 0..depth {
         sim.begin_round();
         for node in tree.level(l) {
@@ -345,8 +361,8 @@ fn broadcast_down<C>(sim: &mut MpcSim<C>, tree: &Tree, depth: usize, bits: u64) 
 
 /// Converge-casts subtree sums toward the root: one tree level per round,
 /// bottom-up. Returns, for each node, the sum over its whole subtree.
-fn converge_sum<C>(
-    sim: &mut MpcSim<C>,
+fn converge_sum(
+    sim: &mut MpcSim,
     tree: &Tree,
     depth: usize,
     local: &[ScaledF64],
@@ -370,8 +386,8 @@ fn converge_sum<C>(
 /// Splits `m` multinomial draws down the tree: each node receives its
 /// subtree's count from its parent and partitions it among {its own local
 /// elements} ∪ {children subtrees} by weight.
-fn split_counts<C, R: Rng>(
-    sim: &mut MpcSim<C>,
+fn split_counts<R: Rng>(
+    sim: &mut MpcSim,
     tree: &Tree,
     depth: usize,
     m: u64,
@@ -479,6 +495,15 @@ mod tests {
         assert_eq!(t.level(0), 0..1);
         assert_eq!(t.level(1), 1..4);
         assert_eq!(t.level(2), 4..13);
+    }
+
+    #[test]
+    fn chunk_sizes_are_contiguous_ceil_blocks() {
+        assert_eq!(chunk_sizes(10, 4), vec![3, 3, 3, 1]);
+        // The last machines may be left empty.
+        assert_eq!(chunk_sizes(9, 5), vec![2, 2, 2, 2, 1]);
+        assert_eq!(chunk_sizes(4, 3), vec![2, 2, 0]);
+        assert_eq!(chunk_sizes(1, 1), vec![1]);
     }
 
     #[test]

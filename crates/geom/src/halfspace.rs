@@ -50,6 +50,14 @@ impl Halfspace {
         Halfspace { a, b }
     }
 
+    /// Builds `a·x ≤ b`, or returns `None` if `a` is empty or any entry
+    /// is non-finite — the constructor for untrusted input (decoded
+    /// wire frames), where a bad row must be refused, not panic.
+    pub fn try_new(a: Vec<f64>, b: f64) -> Option<Self> {
+        let valid = !a.is_empty() && a.iter().all(|v| v.is_finite()) && b.is_finite();
+        valid.then_some(Halfspace { a, b })
+    }
+
     /// Dimension of the ambient space.
     pub fn dim(&self) -> usize {
         self.a.len()
@@ -165,6 +173,17 @@ mod tests {
         assert!(h.contains(&[0.0, 0.0]));
         assert!(!h.contains(&[2.0, 2.0]));
         assert_eq!(h.slack(&[0.5, 0.5]), 1.0);
+    }
+
+    #[test]
+    fn try_new_refuses_what_new_asserts() {
+        assert_eq!(
+            Halfspace::try_new(vec![1.0, -2.0], 3.0),
+            Some(Halfspace::new(vec![1.0, -2.0], 3.0))
+        );
+        assert_eq!(Halfspace::try_new(Vec::new(), 1.0), None);
+        assert_eq!(Halfspace::try_new(vec![f64::NAN, 0.0], 1.0), None);
+        assert_eq!(Halfspace::try_new(vec![1.0], f64::INFINITY), None);
     }
 
     #[test]

@@ -1,15 +1,16 @@
 //! The coordinator model (Section 3.3).
 //!
 //! `k` sites each hold a partition of the constraints; a coordinator
-//! exchanges messages with the sites in rounds. [`CoordSim`] owns the
-//! partitions and meters every transfer: a *round* is one
+//! exchanges messages with the sites in rounds. [`CoordSim`] meters
+//! every transfer: a *round* is one
 //! coordinator→sites + sites→coordinator exchange (matching the model
 //! definition), and the meter records total bits, per-round bits, and the
 //! up/down split.
 //!
-//! The simulator does not interpret payloads — algorithms move real Rust
-//! values and charge their [`BitCost`]. Sites may only be touched through
-//! [`CoordSim::site`], which keeps the partition boundaries honest.
+//! The simulator neither holds nor interprets data — each site's rows
+//! live with the algorithm's per-site state, and algorithms move real
+//! Rust values between sites and coordinator and charge their
+//! [`BitCost`] here.
 
 use crate::cost::BitCost;
 
@@ -56,61 +57,33 @@ impl CoordMeter {
     }
 }
 
-/// The coordinator-model simulator.
+/// The coordinator-model simulator: a meter over `k` sites. It holds
+/// no constraint data — each site's partition lives with the algorithm
+/// that runs on it (local computation is free in the model), and only
+/// the messages between sites and coordinator pass through here.
 #[derive(Debug)]
-pub struct CoordSim<C> {
-    sites: Vec<Vec<C>>,
+pub struct CoordSim {
+    k: usize,
     /// Communication meter.
     pub meter: CoordMeter,
 }
 
-impl<C> CoordSim<C> {
-    /// Partitions `data` across `k` sites round-robin (the model allows
-    /// arbitrary partitions; use [`CoordSim::from_partitions`] for a
-    /// custom one).
+impl CoordSim {
+    /// A meter over `k` sites.
     ///
     /// # Panics
     /// Panics if `k == 0`.
-    pub fn round_robin(data: Vec<C>, k: usize) -> Self {
+    pub fn new(k: usize) -> Self {
         assert!(k >= 1, "need at least one site");
-        let mut sites: Vec<Vec<C>> = (0..k).map(|_| Vec::new()).collect();
-        for (i, c) in data.into_iter().enumerate() {
-            sites[i % k].push(c);
-        }
         CoordSim {
-            sites,
-            meter: CoordMeter::default(),
-        }
-    }
-
-    /// Uses an explicit partition.
-    pub fn from_partitions(sites: Vec<Vec<C>>) -> Self {
-        assert!(!sites.is_empty(), "need at least one site");
-        CoordSim {
-            sites,
+            k,
             meter: CoordMeter::default(),
         }
     }
 
     /// Number of sites `k`.
     pub fn k(&self) -> usize {
-        self.sites.len()
-    }
-
-    /// Read-only view of a site's local data (local computation is free in
-    /// the model).
-    pub fn site(&self, i: usize) -> &[C] {
-        &self.sites[i]
-    }
-
-    /// Total constraints across sites.
-    pub fn total_len(&self) -> usize {
-        self.sites.iter().map(Vec::len).sum()
-    }
-
-    /// Per-site partition sizes (read-out for skew experiments).
-    pub fn site_sizes(&self) -> Vec<usize> {
-        self.sites.iter().map(Vec::len).collect()
+        self.k
     }
 
     /// Starts a new round.
@@ -150,18 +123,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn round_robin_partition() {
-        let sim = CoordSim::round_robin((0..10).collect(), 3);
-        assert_eq!(sim.k(), 3);
-        assert_eq!(sim.site(0), &[0, 3, 6, 9]);
-        assert_eq!(sim.site(1), &[1, 4, 7]);
-        assert_eq!(sim.total_len(), 10);
-        assert_eq!(sim.site_sizes(), vec![4, 3, 3]);
-    }
-
-    #[test]
     fn metering() {
-        let mut sim = CoordSim::round_robin(vec![0u32; 4], 2);
+        let mut sim = CoordSim::new(2);
+        assert_eq!(sim.k(), 2);
         sim.begin_round();
         sim.charge_down(&7u64); // 64 bits
         sim.charge_up(&vec![1.0f64, 2.0]); // 128 bits
@@ -177,7 +141,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "charge outside a round")]
     fn charging_outside_round_panics() {
-        let mut sim = CoordSim::round_robin(vec![0u32], 1);
+        let mut sim = CoordSim::new(1);
         sim.charge_up(&1u32);
     }
 }

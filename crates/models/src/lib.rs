@@ -11,10 +11,12 @@
 //! * [`streaming::StreamSession`] — a re-scannable sequence with pass
 //!   counting and a peak-space meter.
 //! * [`coordinator::CoordSim`] — `k` sites plus a coordinator, per-round
-//!   and per-direction byte metering (the model of Section 3.3).
+//!   and per-direction bit metering (the model of Section 3.3).
 //! * [`mpc::MpcSim`] — `k` machines with per-machine per-round load
-//!   metering (the model of Section 3.4), plus the `O(1/δ)`-round
-//!   broadcast and converge-cast trees of \[23\].
+//!   metering (the model of Section 3.4).
+//!
+//! The coordinator and MPC simulators are pure meters: the partitions
+//! they account for are held by the algorithms' per-site state.
 
 #![forbid(unsafe_code)]
 

@@ -591,9 +591,15 @@ fn take_request(c: &mut Cursor<'_>) -> Result<SolveRequest, ReadError> {
         1 => RequestInput::Scenario(c.str16()?),
         2 => {
             let d = c.u16()? as usize;
+            if d == 0 {
+                return Err(malformed("inline LP in zero dimensions"));
+            }
             let mut objective = Vec::with_capacity(d);
             for _ in 0..d {
                 objective.push(c.f64()?);
+            }
+            if objective.iter().any(|v| !v.is_finite()) {
+                return Err(malformed("inline LP objective has a non-finite entry"));
             }
             let m = c.u32()? as usize;
             // The cursor is bounds-checked, so a lying constraint count
@@ -605,7 +611,12 @@ fn take_request(c: &mut Cursor<'_>) -> Result<SolveRequest, ReadError> {
                     a.push(c.f64()?);
                 }
                 let b = c.f64()?;
-                cs.push(Halfspace::new(a, b));
+                let row = cs.len();
+                cs.push(Halfspace::try_new(a, b).ok_or_else(|| {
+                    malformed(format!(
+                        "inline LP constraint {row} has a non-finite coefficient"
+                    ))
+                })?);
             }
             RequestInput::InlineLp(LpProblem::new(objective), cs)
         }

@@ -258,6 +258,13 @@ fn respond(frame: Frame, router: &ShardRouter) -> (Frame, bool) {
                     },
                     false,
                 ),
+                Err(SubmitError::Invalid(invalid)) => (
+                    Frame::Error {
+                        code: ErrorCode::Rejected,
+                        message: invalid.to_string(),
+                    },
+                    false,
+                ),
                 Err(SubmitError::Closed) => (
                     Frame::Error {
                         code: ErrorCode::Closed,

@@ -6,11 +6,13 @@
 //! `llp_bench` report grid — the grid's `run_cell` is a thin wrapper, so
 //! a scenario solved through the service is *the same computation* as its
 //! report cell (same partition layout, same meter charges, same
-//! determinism contract via `llp_par`). Harness work (cloning the data,
-//! cutting partitions) happens before the timer starts: the returned
-//! `wall_ms` is solve time only, comparable across models.
+//! determinism contract via `llp_par`). Harness work (transposing the
+//! borrowed input into columns, cut per site or machine for the
+//! coordinator and MPC legs) happens before the timer starts: the
+//! returned `wall_ms` is solve time only, comparable across models.
 
 use crate::request::{Model, ResponseBody};
+use llp_bigdata::common::column_blocks;
 use llp_bigdata::coordinator as coord_impl;
 use llp_bigdata::mpc::{self as mpc_impl, MpcConfig};
 use llp_bigdata::streaming::{self as stream_impl, SamplingMode};
@@ -18,7 +20,6 @@ use llp_core::clarkson::ClarksonConfig;
 use llp_core::lptype::{count_violations, ColumnarProblem};
 use llp_core::SolveScratch;
 use llp_workloads::partition::prescribed_sizes;
-use llp_workloads::partition_by_sizes;
 use rand::Rng;
 
 /// Model-independent execution parameters (the registry defaults match
@@ -125,10 +126,10 @@ pub fn solve_model<P: ColumnarProblem, R: Rng>(
         }
         Model::Coordinator => {
             let sizes = partition_sizes(data.len(), params.coord_sites, params.skew);
-            let parts = partition_by_sizes(data.to_vec(), &sizes);
+            let sites = column_blocks(problem, data, &sizes);
             // llp-analyzer: allow(wall-clock) -- wall_ms meters the solve; the reading never feeds solver state
             let start = std::time::Instant::now();
-            let (sol, stats) = coord_impl::solve_partitioned(problem, parts, &cfg, rng)
+            let (sol, stats) = coord_impl::solve_columns(problem, sites, &cfg, rng)
                 .map_err(|e| err(format!("{e:?}")))?;
             wall_ms = start.elapsed().as_secs_f64() * 1000.0;
             body.iterations = stats.iterations as u64;
@@ -139,27 +140,18 @@ pub fn solve_model<P: ColumnarProblem, R: Rng>(
         }
         Model::Mpc => {
             let mpc_cfg = MpcConfig::lean(params.mpc_delta);
-            let start;
-            let (sol, stats) = match params.skew {
-                // Skewed layouts cut the same machine count mpc::solve
-                // would use, just with geometric sizes.
-                Some(_) => {
-                    let k = mpc_impl::machine_count(data.len(), params.mpc_delta);
-                    let sizes = partition_sizes(data.len(), k, params.skew);
-                    let parts = partition_by_sizes(data.to_vec(), &sizes);
-                    // llp-analyzer: allow(wall-clock) -- wall_ms meters the solve; the reading never feeds solver state
-                    start = std::time::Instant::now();
-                    mpc_impl::solve_partitioned(problem, parts, &mpc_cfg, rng)
-                        .map_err(|e| err(format!("{e:?}")))?
-                }
-                None => {
-                    let owned = data.to_vec();
-                    // llp-analyzer: allow(wall-clock) -- wall_ms meters the solve; the reading never feeds solver state
-                    start = std::time::Instant::now();
-                    mpc_impl::solve(problem, owned, &mpc_cfg, rng)
-                        .map_err(|e| err(format!("{e:?}")))?
-                }
+            // Skewed layouts cut the same machine count mpc::solve
+            // would use, just with geometric sizes.
+            let k = mpc_impl::machine_count(data.len(), params.mpc_delta);
+            let sizes = match params.skew {
+                Some(_) => partition_sizes(data.len(), k, params.skew),
+                None => mpc_impl::chunk_sizes(data.len(), k),
             };
+            let machines = column_blocks(problem, data, &sizes);
+            // llp-analyzer: allow(wall-clock) -- wall_ms meters the solve; the reading never feeds solver state
+            let start = std::time::Instant::now();
+            let (sol, stats) = mpc_impl::solve_columns(problem, machines, &mpc_cfg, rng)
+                .map_err(|e| err(format!("{e:?}")))?;
             wall_ms = start.elapsed().as_secs_f64() * 1000.0;
             body.iterations = stats.iterations as u64;
             body.rounds = stats.rounds;

@@ -37,7 +37,9 @@ pub mod shard;
 pub mod stats;
 
 pub use exec::{solve_model, ExecOutcome, ExecParams};
-pub use request::{Model, RequestInput, ResponseBody, ServedFrom, SolveRequest, SolveResponse};
+pub use request::{
+    InvalidInput, Model, RequestInput, ResponseBody, ServedFrom, SolveRequest, SolveResponse,
+};
 pub use service::{Admission, Service, ServiceConfig, SubmitError, Ticket};
 pub use shard::{HashRing, ShardRouter};
 pub use stats::{LatencySummary, ServiceStats};

@@ -83,6 +83,32 @@ impl SolveRequest {
         }
     }
 
+    /// Checks an inline LP's shape: at least one dimension, at least one
+    /// constraint, and every row in the objective's dimension. Scenario
+    /// inputs are generated by the registry and always pass. The
+    /// service refuses a failing request at admission, before any
+    /// worker could trip over it.
+    pub fn validate(&self) -> Result<(), InvalidInput> {
+        let RequestInput::InlineLp(p, cs) = &self.input else {
+            return Ok(());
+        };
+        let expected = p.objective.len();
+        if expected == 0 {
+            return Err(InvalidInput::ZeroDimension);
+        }
+        if cs.is_empty() {
+            return Err(InvalidInput::NoConstraints);
+        }
+        match cs.iter().position(|h| h.dim() != expected) {
+            Some(row) => Err(InvalidInput::RowDimension {
+                row,
+                got: cs[row].dim(),
+                expected,
+            }),
+            None => Ok(()),
+        }
+    }
+
     /// The batching/caching key: a 128-bit FNV-1a digest of the instance
     /// identity, model, budget, and seed. Everything that can change the
     /// response body feeds the digest — see the module docs. 128 bits
@@ -116,6 +142,38 @@ impl SolveRequest {
         h.bytes(self.budget.name().as_bytes());
         h.u64(self.seed);
         h.finish()
+    }
+}
+
+/// Why an inline LP was refused at admission ([`SolveRequest::validate`]).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum InvalidInput {
+    /// The objective is empty: an LP in zero dimensions.
+    ZeroDimension,
+    /// The LP carries no constraints.
+    NoConstraints,
+    /// Constraint `row` has `got` coefficients; the objective has
+    /// `expected`.
+    RowDimension {
+        /// Index of the first offending constraint.
+        row: usize,
+        /// Its coefficient count.
+        got: usize,
+        /// The objective's dimension.
+        expected: usize,
+    },
+}
+
+impl std::fmt::Display for InvalidInput {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            InvalidInput::ZeroDimension => write!(f, "inline LP in zero dimensions"),
+            InvalidInput::NoConstraints => write!(f, "inline LP has no constraints"),
+            InvalidInput::RowDimension { row, got, expected } => write!(
+                f,
+                "inline LP constraint {row} has {got} coefficients, objective has {expected}"
+            ),
+        }
     }
 }
 
@@ -242,6 +300,42 @@ mod tests {
         let mut other = base.clone();
         other.seed = 8;
         assert_ne!(fp, other.fingerprint(), "seed must distinguish");
+    }
+
+    #[test]
+    fn validate_refuses_malformed_inline_lps() {
+        let req = |objective: Vec<f64>, cs: Vec<Halfspace>| SolveRequest {
+            input: RequestInput::InlineLp(
+                LpProblem {
+                    objective,
+                    ..LpProblem::new(vec![1.0])
+                },
+                cs,
+            ),
+            model: Model::Ram,
+            budget: RunBudget::Quick,
+            seed: 3,
+        };
+        let row = |d: usize| Halfspace::new(vec![1.0; d], 1.0);
+        assert_eq!(req(vec![1.0, 1.0], vec![row(2)]).validate(), Ok(()));
+        assert_eq!(
+            req(vec![1.0, 1.0], Vec::new()).validate(),
+            Err(InvalidInput::NoConstraints)
+        );
+        assert_eq!(
+            req(Vec::new(), vec![row(2)]).validate(),
+            Err(InvalidInput::ZeroDimension)
+        );
+        assert_eq!(
+            req(vec![1.0, 1.0], vec![row(2), row(3)]).validate(),
+            Err(InvalidInput::RowDimension {
+                row: 1,
+                got: 3,
+                expected: 2
+            })
+        );
+        let scenario = SolveRequest::scenario("lp_uniform", Model::Ram, RunBudget::Quick, 1);
+        assert_eq!(scenario.validate(), Ok(()));
     }
 
     #[test]

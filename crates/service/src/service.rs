@@ -34,7 +34,9 @@
 
 use crate::cache::LruCache;
 use crate::exec::{solve_model, ExecParams};
-use crate::request::{RequestInput, ResponseBody, ServedFrom, SolveRequest, SolveResponse};
+use crate::request::{
+    InvalidInput, RequestInput, ResponseBody, ServedFrom, SolveRequest, SolveResponse,
+};
 use crate::stats::{LatencySummary, ServiceStats};
 use llp_workloads::scenario::{registry, RunBudget, ScenarioData};
 use rand::rngs::StdRng;
@@ -81,6 +83,8 @@ pub enum SubmitError {
     Shed,
     /// The named scenario is not in the registry.
     UnknownScenario(String),
+    /// The inline LP is malformed ([`SolveRequest::validate`]).
+    Invalid(InvalidInput),
     /// The service is shutting down.
     Closed,
 }
@@ -219,10 +223,10 @@ impl Service {
     /// Admits one request live. Returns immediately: a cache hit carries
     /// the response, otherwise a [`Ticket`] (or a shed/reject error).
     pub fn submit(&self, req: SolveRequest) -> Result<Admission, SubmitError> {
-        // Hash outside the lock: fingerprinting a large inline request is
-        // the most expensive part of admission and must not serialize
-        // other submitters or block workers publishing results.
-        let key = req.fingerprint();
+        // Validate and hash outside the lock: both walk a large inline
+        // request, the most expensive part of admission, and must not
+        // serialize other submitters or block workers publishing results.
+        let key = keyed(&req);
         let mut st = self.lock();
         let admission = admit_locked(&mut st, &self.shared.cfg, req, key);
         drop(st);
@@ -239,10 +243,10 @@ impl Service {
     /// every admitted request completes. Responses are returned in
     /// request order.
     pub fn run_replay(&self, reqs: Vec<SolveRequest>) -> Vec<Result<SolveResponse, SubmitError>> {
-        let keyed: Vec<(SolveRequest, u128)> = reqs
+        let keyed: Vec<(SolveRequest, Result<u128, InvalidInput>)> = reqs
             .into_iter()
             .map(|r| {
-                let key = r.fingerprint(); // hash outside the lock
+                let key = keyed(&r); // validate and hash outside the lock
                 (r, key)
             })
             .collect();
@@ -339,11 +343,16 @@ fn known_scenario(name: &str) -> bool {
         .contains(&name)
 }
 
+/// A request's admission key: its fingerprint, or why it is refused.
+fn keyed(req: &SolveRequest) -> Result<u128, InvalidInput> {
+    req.validate().map(|()| req.fingerprint())
+}
+
 fn admit_locked(
     st: &mut State,
     cfg: &ServiceConfig,
     req: SolveRequest,
-    key: u128,
+    key: Result<u128, InvalidInput>,
 ) -> Result<Admission, SubmitError> {
     // llp-analyzer: allow(wall-clock) -- request-latency metering; replay classification never reads the clock
     let now = Instant::now();
@@ -358,6 +367,13 @@ fn admit_locked(
             return Err(SubmitError::UnknownScenario(name.clone()));
         }
     }
+    let key = match key {
+        Ok(key) => key,
+        Err(invalid) => {
+            st.stats.rejected += 1;
+            return Err(SubmitError::Invalid(invalid));
+        }
+    };
     if let Some(body) = st.cache.get(key) {
         st.stats.cache_hits += 1;
         st.stats.completed += 1;
@@ -603,6 +619,74 @@ mod tests {
             other => panic!("expected UnknownScenario, got {other:?}"),
         }
         assert_eq!(svc.stats().rejected, 1);
+    }
+
+    #[test]
+    fn malformed_inline_lps_are_rejected_and_the_service_keeps_serving() {
+        // Each of these used to reach a worker and panic it mid-solve,
+        // leaving its ticket waiting forever. Admission refuses them
+        // without queueing, so nothing below blocks on them.
+        let inline = |objective: Vec<f64>, cs: Vec<Halfspace>| SolveRequest {
+            input: RequestInput::InlineLp(
+                LpProblem {
+                    objective,
+                    ..LpProblem::new(vec![1.0])
+                },
+                cs,
+            ),
+            model: Model::Mpc,
+            budget: RunBudget::Quick,
+            seed: 9,
+        };
+        let row = |d: usize| Halfspace::new(vec![1.0; d], 1.0);
+        let bad = [
+            (
+                inline(vec![1.0, 1.0], Vec::new()),
+                InvalidInput::NoConstraints,
+            ),
+            (
+                inline(Vec::new(), vec![row(2)]),
+                InvalidInput::ZeroDimension,
+            ),
+            (
+                inline(vec![1.0, 1.0], vec![row(2), row(3)]),
+                InvalidInput::RowDimension {
+                    row: 1,
+                    got: 3,
+                    expected: 2,
+                },
+            ),
+        ];
+        let svc = Service::new(quick_cfg());
+        for (req, reason) in &bad {
+            match svc.submit(req.clone()) {
+                Err(SubmitError::Invalid(got)) => assert_eq!(&got, reason),
+                other => panic!("expected Invalid({reason:?}), got {other:?}"),
+            }
+        }
+        // Replays refuse them the same way, in stream order.
+        let mut stream: Vec<SolveRequest> = bad.iter().map(|(r, _)| r.clone()).collect();
+        stream.push(hot_request());
+        let responses = svc.run_replay(stream);
+        for ((_, reason), resp) in bad.iter().zip(&responses) {
+            assert_eq!(
+                resp.as_ref().unwrap_err(),
+                &SubmitError::Invalid(reason.clone())
+            );
+        }
+        assert!(
+            responses[3].as_ref().unwrap().body.is_ok(),
+            "service must keep serving"
+        );
+        let stats = svc.stats();
+        assert_eq!(
+            (stats.submitted, stats.rejected, stats.completed),
+            (7, 6, 1)
+        );
+        assert_eq!(
+            stats.completed + stats.shed + stats.rejected,
+            stats.submitted
+        );
     }
 
     #[test]

@@ -676,24 +676,17 @@ pub fn read_all<P: ColumnarProblem>(
     Ok((out, reader.header, bytes))
 }
 
-/// What [`read_partitioned`] yields: per-site constraint lists, the
-/// file header, and the total bytes read.
-pub type PartitionedRead<P> = (
-    Vec<Vec<<P as llp_core::lptype::LpTypeProblem>::Constraint>>,
-    FileHeader,
-    u64,
-);
-
-/// Reads a file into contiguous partitions of the given sizes — the
-/// coordinator/MPC site loader. The sizes must sum to the file's row
-/// count (use the skew recorded in the header's provenance to derive
-/// them, so a file replays the exact partition layout it was generated
-/// for).
-pub fn read_partitioned<P: ColumnarProblem>(
+/// Reads a file into contiguous per-site columns of the given sizes —
+/// the coordinator/MPC site loader. Rows stay in the store's own
+/// columnar layout, so no problem type is involved. The sizes must sum
+/// to the file's row count (use the skew recorded in the header's
+/// provenance to derive them, so a file replays the exact partition
+/// layout it was generated for). Returns the site columns, the header,
+/// and the bytes read.
+pub fn read_partitioned(
     path: &Path,
-    problem: &P,
     sizes: &[usize],
-) -> Result<PartitionedRead<P>, StoreError> {
+) -> Result<(Vec<ConstraintColumns>, FileHeader, u64), StoreError> {
     let mut reader = open_file(path)?;
     let total: usize = sizes.iter().sum();
     if total as u64 != reader.header().rows {
@@ -702,17 +695,24 @@ pub fn read_partitioned<P: ColumnarProblem>(
             reader.header().rows
         )));
     }
-    let mut parts: Vec<Vec<P::Constraint>> = sizes.iter().map(|&s| Vec::with_capacity(s)).collect();
-    let mut site = 0usize;
-    let mut buf = Vec::with_capacity(reader.header().dim as usize);
+    let dim = reader.header().dim as usize;
+    let mut parts: Vec<ConstraintColumns> = sizes
+        .iter()
+        .map(|&s| ConstraintColumns::zeroed(dim, s))
+        .collect();
+    // The next row lands at `parts[site]`, row `filled`. The sizes sum to
+    // the row total (checked above), so `site` never runs past the end.
+    let (mut site, mut filled) = (0usize, 0usize);
+    let mut buf = Vec::with_capacity(dim);
     while let Some(chunk) = reader.next_chunk()? {
         for i in 0..chunk.len() {
             let extra = chunk.row(i, &mut buf);
-            while site < sizes.len() && parts[site].len() == sizes[site] {
+            while filled == sizes[site] {
                 site += 1;
+                filled = 0;
             }
-            debug_assert!(site < sizes.len(), "sizes checked against row total");
-            parts[site].push(problem.from_row(&buf, extra));
+            parts[site].set_row(filled, &buf, extra);
+            filled += 1;
         }
     }
     let bytes = reader.bytes_read();

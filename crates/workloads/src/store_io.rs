@@ -1,6 +1,7 @@
 //! Scenario ↔ chunked-store glue: write any registry scenario to a
 //! store file without materializing it, and load files back as typed
-//! instances or site partitions.
+//! instances (site partitions load as columns straight from
+//! `llp_store::read_partitioned`).
 //!
 //! The store header's [`Provenance`] records the scenario's generator
 //! arguments (family, n, d, seed, r, skew), so a well-formed file is
@@ -11,9 +12,7 @@
 use crate::scenario::{Family, Scenario, ScenarioData, ScenarioProblem};
 use crate::stream::ScenarioStream;
 use llp_geom::ConstraintColumns;
-use llp_store::{
-    open_file, read_all, read_partitioned, ChunkWriter, FileHeader, Provenance, StoreError,
-};
+use llp_store::{open_file, read_all, ChunkWriter, FileHeader, Provenance, StoreError};
 use std::fs::File;
 use std::io::BufWriter;
 use std::path::Path;
@@ -115,51 +114,6 @@ pub fn read_scenario_data(path: &Path, sc: &Scenario) -> Result<(ScenarioData, u
     })
 }
 
-/// A scenario instance loaded as `k` contiguous site partitions — the
-/// coordinator/MPC ingestion path. Sizes follow the scenario's own
-/// prescription (geometrically skewed when `skew` is recorded), so a
-/// file replays the exact partition layout it was generated for.
-#[derive(Clone, Debug)]
-pub enum ScenarioPartitions {
-    /// A partitioned linear program.
-    Lp(
-        llp_core::instances::lp::LpProblem,
-        Vec<Vec<llp_geom::Halfspace>>,
-    ),
-    /// A partitioned SVM instance.
-    Svm(
-        llp_core::instances::svm::SvmProblem,
-        Vec<Vec<llp_core::instances::svm::SvmPoint>>,
-    ),
-    /// A partitioned MEB instance.
-    Meb(llp_core::instances::meb::MebProblem, Vec<Vec<Vec<f64>>>),
-}
-
-/// Reads a scenario's file into `k` site partitions (see
-/// [`ScenarioPartitions`]). Returns the partitions and the bytes read.
-pub fn read_scenario_partitioned(
-    path: &Path,
-    sc: &Scenario,
-    k: usize,
-) -> Result<(ScenarioPartitions, u64), StoreError> {
-    let header = check_header(path, sc)?;
-    let sizes = sc.partition_sizes(header.rows as usize, k);
-    Ok(match sc.problem() {
-        ScenarioProblem::Lp(p) => {
-            let (parts, _, bytes) = read_partitioned(path, &p, &sizes)?;
-            (ScenarioPartitions::Lp(p, parts), bytes)
-        }
-        ScenarioProblem::Svm(p) => {
-            let (parts, _, bytes) = read_partitioned(path, &p, &sizes)?;
-            (ScenarioPartitions::Svm(p, parts), bytes)
-        }
-        ScenarioProblem::Meb(p) => {
-            let (parts, _, bytes) = read_partitioned(path, &p, &sizes)?;
-            (ScenarioPartitions::Meb(p, parts), bytes)
-        }
-    })
-}
-
 /// Opens the file, validates its header, and refuses a provenance that
 /// does not match the scenario.
 fn check_header(path: &Path, sc: &Scenario) -> Result<FileHeader, StoreError> {
@@ -227,6 +181,7 @@ mod tests {
     #[test]
     fn partitioned_read_matches_in_ram_partitioning() {
         use crate::partition::partition_by_sizes;
+        use llp_core::lptype::ColumnarProblem;
         let dir = scratch_dir();
         let mut sc = registry(RunBudget::Quick)
             .into_iter()
@@ -235,15 +190,15 @@ mod tests {
         sc.n = 2_000;
         let path = dir.join("partitioned_skewed.llps");
         write_scenario(&sc, &path, 512).unwrap();
-        let (parts, _) = read_scenario_partitioned(&path, &sc, 8).unwrap();
-        let ScenarioPartitions::Lp(_, got) = parts else {
-            panic!("kind drifted");
-        };
-        let ScenarioData::Lp(_, cs) = sc.generate() else {
+        let ScenarioData::Lp(p, cs) = sc.generate() else {
             panic!("kind drifted");
         };
         let sizes = sc.partition_sizes(cs.len(), 8);
-        let want = partition_by_sizes(cs, &sizes);
+        let (got, _, _) = llp_store::read_partitioned(&path, &sizes).unwrap();
+        let want: Vec<_> = partition_by_sizes(cs, &sizes)
+            .iter()
+            .map(|part| p.to_columns(part))
+            .collect();
         assert_eq!(got, want, "skewed site layout must replay from the file");
         assert!(
             got.last().unwrap().len() > got[0].len(),
@@ -280,10 +235,6 @@ mod tests {
         other.seed ^= 1;
         assert!(matches!(
             read_scenario_data(&path, &other),
-            Err(StoreError::HeaderCorrupt(_))
-        ));
-        assert!(matches!(
-            read_scenario_partitioned(&path, &other, 8),
             Err(StoreError::HeaderCorrupt(_))
         ));
     }

@@ -13,9 +13,7 @@
 //!
 //! Coverage notes. The parallel path only engages on slices spanning more
 //! than one `DEFAULT_CHUNK` (4096), so the coordinator/MPC legs use
-//! inputs sized to put >4096 constraints on each site/machine, and
-//! `weight_oracle_helpers_are_thread_count_invariant` drives the
-//! multi-chunk merges of every `WeightOracle` helper directly. The RAM,
+//! inputs sized to put >4096 constraints on each site/machine. The RAM,
 //! coordinator, and MPC solvers all run their sampling off persistent
 //! `WeightIndex` state now (incremental Fenwick updates instead of prefix
 //! rebuilds): the model legs cover that path end-to-end — the index is
@@ -265,62 +263,16 @@ fn violation_scan_invariant_across_many_thread_counts() {
 }
 
 #[test]
-fn weight_oracle_helpers_are_thread_count_invariant() {
-    // Drive every WeightOracle slice helper directly on a slice spanning
-    // ~10 chunks, with a non-trivial basis history, so the multi-chunk
-    // ordered merges (including the (weight, count) reduce of
-    // `violation_scan`) are exercised head-on rather than only through
-    // the model protocols.
-    use lodim_lp::bigdata::common::WeightOracle;
-    use lodim_lp::core::lptype::LpTypeProblem;
-
-    let mut rng = StdRng::seed_from_u64(SEED + 70);
-    let (lp, cs) = lodim_lp::workloads::random_lp(N_BIG, 3, SEED + 70);
-    let mut oracle: WeightOracle<LpProblem> = WeightOracle::new(8.0);
-    for i in 0..6 {
-        // A spread of basis points so constraints get diverse exponents.
-        let basis = lp
-            .solve_subset(&cs[i * 50..i * 50 + 40], &mut rng)
-            .expect("subset solvable");
-        oracle.push(basis);
-    }
-    let probe = lp.solve_subset(&cs[..32], &mut rng).expect("solvable");
-
-    let totals = |threads: usize| {
-        llp_par::with_threads(threads, || {
-            (
-                oracle.total_weight(&lp, &cs),
-                oracle.weights(&lp, &cs),
-                oracle.violation_scan(&lp, &probe, &cs),
-            )
-        })
-    };
-    let reference = totals(1);
-    for threads in [2usize, 4, 16] {
-        assert_eq!(totals(threads), reference, "threads={threads}");
-    }
-    // And the helpers are consistent with each other.
-    let (total, weights, (viol_w, viol_count)) = reference;
-    let refold: lodim_lp::num::ScaledF64 = weights.iter().copied().sum();
-    assert!((refold.ratio(total) - 1.0).abs() < 1e-12);
-    assert!(
-        viol_count > 0,
-        "probe should be violated by some constraints"
-    );
-    assert!(viol_w.ratio(total) > 0.0);
-}
-
-#[test]
 fn site_weights_scan_and_sampling_are_thread_count_invariant() {
     // The WeightIndex-backed holder state: drive scan_and_stage on a
-    // ~10-chunk slice through several accepted rounds, so the violator
+    // ~10-chunk holder through several accepted rounds, so the violator
     // lists, staged commits, O(1) totals, and the index-backed inversion
-    // draws are compared across thread counts on *evolving* incremental
-    // state. Only the fused scan touches the llp_par pool — the Fenwick
+    // draws (rebuilt rows) are compared across thread counts on
+    // *evolving* incremental state. Only the fused scan touches the llp_par pool — the Fenwick
     // updates and descents are sequential by construction — so every
     // field must match bit-for-bit.
     use lodim_lp::bigdata::common::SiteWeights;
-    use lodim_lp::core::lptype::LpTypeProblem;
+    use lodim_lp::core::lptype::{ColumnarProblem, LpTypeProblem};
 
     let mut rng = StdRng::seed_from_u64(SEED + 80);
     let (lp, cs) = lodim_lp::workloads::random_lp(N_BIG, 3, SEED + 80);
@@ -333,13 +285,14 @@ fn site_weights_scan_and_sampling_are_thread_count_invariant() {
 
     let run = |threads: usize| {
         llp_par::with_threads(threads, || {
-            let mut site = SiteWeights::new(cs.len(), 6.0);
+            let mut site = SiteWeights::new(lp.to_columns(&cs), 6.0);
             let mut rng = StdRng::seed_from_u64(SEED + 81);
             let mut out = Vec::new();
             for probe in &probes {
-                let (w, count) = site.scan_and_stage(&lp, probe, &cs);
+                let (w, count) = site.scan_and_stage(&lp, probe);
                 site.resolve(true);
-                let picked = site.sample_indices(100, &mut rng);
+                let mut picked = Vec::new();
+                site.sample_rows(&lp, 100, &mut rng, &mut picked);
                 out.push((w, count, site.total(), picked));
             }
             out
@@ -359,14 +312,15 @@ fn site_weights_scan_and_sampling_are_thread_count_invariant() {
 fn columnar_scan_matches_aos_scan_bit_for_bit() {
     // The SoA-vs-AoS differential at the kernel level: the columnar scan
     // (`scan_violators_weighted_columnar` over `ConstraintColumns`) must
-    // report exactly the same violator indices and the same ScaledF64
-    // weight as the AoS scan, bit for bit, for LP/SVM/MEB at threads
-    // 1/4/16. Weights are non-uniform so the sums genuinely mix
-    // exponents, and the solution comes from a small prefix so the full
-    // set contains real violators.
-    use lodim_lp::core::lptype::{
-        scan_violators_weighted, scan_violators_weighted_columnar, ColumnarProblem,
-    };
+    // report exactly the violator indices and the ScaledF64 weight of an
+    // AoS reference scan — the scalar `violates` predicate walked over
+    // the same fixed chunk grid, weights summed per chunk then across
+    // chunks in order — bit for bit, for LP/SVM/MEB at threads 1/4/16.
+    // Weights are non-uniform so the sums genuinely mix exponents, and
+    // the solution comes from a small prefix so the full set contains
+    // real violators.
+    use lodim_lp::core::lptype::{scan_violators_weighted_columnar, ColumnarProblem};
+    use lodim_lp::num::ScaledF64;
     use lodim_lp::sampling::weight_index::WeightIndex;
 
     fn check<P: ColumnarProblem>(label: &str, p: &P, data: &[P::Constraint], sol: &P::Solution) {
@@ -377,18 +331,29 @@ fn columnar_scan_matches_aos_scan_bit_for_bit() {
         for i in (0..data.len()).step_by(13) {
             index.multiply(i, 70.0);
         }
+        let mut aos_idx = Vec::new();
+        let mut aos_w = ScaledF64::ZERO;
+        for (c, chunk) in data.chunks(llp_par::DEFAULT_CHUNK).enumerate() {
+            let mut w = ScaledF64::ZERO;
+            for (off, con) in chunk.iter().enumerate() {
+                if p.violates(sol, con) {
+                    let i = c * llp_par::DEFAULT_CHUNK + off;
+                    aos_idx.push(i);
+                    w += index.get(i);
+                }
+            }
+            aos_w += w;
+        }
+        assert!(
+            !aos_idx.is_empty(),
+            "{label}: prefix solution should leave violators in the full set"
+        );
         let columns = p.to_columns(data);
         for threads in [1usize, 4, 16] {
-            let (aos_idx, aos_w) =
-                llp_par::with_threads(threads, || scan_violators_weighted(p, sol, data, &index));
             let mut col_idx = Vec::new();
             let col_w = llp_par::with_threads(threads, || {
                 scan_violators_weighted_columnar(p, sol, &columns, &index, &mut col_idx)
             });
-            assert!(
-                !aos_idx.is_empty(),
-                "{label}: prefix solution should leave violators in the full set"
-            );
             assert_eq!(
                 aos_idx, col_idx,
                 "{label} threads={threads}: violator indices diverged"
