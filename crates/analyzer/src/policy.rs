@@ -57,13 +57,17 @@ pub struct SourceFile {
     pub text: String,
 }
 
-/// Files whose loop bodies the `hot-loop-alloc` warn lint watches: the
-/// violation-scan and weight-update kernels ROADMAP item 2 will turn into
-/// arena-backed columnar code.
+/// Files whose loop bodies the `hot-loop-alloc` lint watches and whose
+/// call trees `fp-kernel-purity` checks: the violation-scan and
+/// weight-update kernels, the flat basis solvers, and the weight index
+/// behind every net draw.
 pub const KERNEL_FILES: &[&str] = &[
     "crates/core/src/lptype.rs",
     "crates/core/src/clarkson.rs",
     "crates/bigdata/src/common.rs",
+    "crates/solver/src/seidel.rs",
+    "crates/solver/src/lexico.rs",
+    "crates/sampling/src/weight_index.rs",
 ];
 
 /// The crate that owns `LLP_THREADS` (and env reads generally); see

@@ -103,6 +103,10 @@ pub struct SiteWeights {
     factor: f64,
     /// Local violator indices of the basis whose verdict is pending.
     staged: Vec<usize>,
+    /// Reusable buffers of [`sample_rows`](Self::sample_rows): the draws'
+    /// inversion targets and the picked row indices.
+    targets: Vec<ScaledF64>,
+    picked: Vec<usize>,
 }
 
 impl SiteWeights {
@@ -115,6 +119,8 @@ impl SiteWeights {
             columns,
             factor,
             staged: Vec::new(),
+            targets: Vec::new(),
+            picked: Vec::new(),
         }
     }
 
@@ -172,13 +178,13 @@ impl SiteWeights {
     }
 
     /// Draws `count` i.i.d. local rows proportional to weight — one
-    /// O(log n) descent each, deduplicated (net membership is a set) —
-    /// and appends them in ascending row order to `net`, rebuilt through
-    /// [`ColumnarProblem::from_row`]: the net contribution a site or
-    /// machine ships upward. Appends nothing when the holder has no
-    /// weight. Returns how many rows were appended.
+    /// shared descent of the index for all draws, deduplicated (net
+    /// membership is a set) — and appends them in ascending row order to
+    /// `net`, rebuilt through [`ColumnarProblem::from_row`]: the net
+    /// contribution a site or machine ships upward. Appends nothing when
+    /// the holder has no weight. Returns how many rows were appended.
     pub fn sample_rows<P: ColumnarProblem, R: Rng + ?Sized>(
-        &self,
+        &mut self,
         problem: &P,
         count: usize,
         rng: &mut R,
@@ -187,10 +193,9 @@ impl SiteWeights {
         if count == 0 || self.index.total().is_zero() {
             return 0;
         }
-        let mut picked: Vec<usize> = (0..count).map(|_| self.index.draw(rng)).collect();
-        picked.sort_unstable();
-        picked.dedup();
-        self.push_rows(problem, picked.iter().copied(), net)
+        self.index
+            .draw_sorted(count, rng, &mut self.targets, &mut self.picked);
+        self.push_rows(problem, self.picked.iter().copied(), net)
     }
 
     /// Appends every row to `net` (the ε-net formula covers the whole

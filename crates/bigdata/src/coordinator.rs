@@ -169,7 +169,7 @@ pub fn solve_columns<P: ColumnarProblem, R: Rng>(
                 site_weights.iter().map(|w| w.ratio(total_weight)).collect();
             let counts =
                 llp_sampling::discrete::multinomial(params.net_size as u64, &weights_f64, rng);
-            for (site, &count) in sites.iter().zip(&counts) {
+            for (site, &count) in sites.iter_mut().zip(&counts) {
                 sim.charge_down(&count);
                 if count == 0 {
                     continue;

@@ -285,7 +285,7 @@ pub fn solve_columns<P: ColumnarProblem, R: Rng>(
         // ---- Samples to the root (one direct round). ----
         sim.begin_round();
         let mut net: Vec<P::Constraint> = Vec::with_capacity(params.net_size.min(n));
-        for (i, machine) in machines.iter().enumerate() {
+        for (i, machine) in machines.iter_mut().enumerate() {
             if counts[i] == 0 {
                 continue;
             }

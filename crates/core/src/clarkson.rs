@@ -30,6 +30,7 @@
 
 use crate::lptype::{ColumnarProblem, SolveError};
 use llp_geom::ConstraintColumns;
+use llp_num::ScaledF64;
 use llp_sampling::weight_index::WeightIndex;
 use rand::Rng;
 
@@ -212,6 +213,8 @@ pub type ClarksonOutcome<S> = Result<(S, ClarksonStats), (ClarksonError, Clarkso
 pub struct SolveScratch<P: ColumnarProblem> {
     /// Sampled net indices (sorted, deduped), reused across iterations.
     net_idx: Vec<usize>,
+    /// The net draws' inversion targets, reused across iterations.
+    targets: Vec<ScaledF64>,
     /// Net constraint pool: slot `k` is refilled in place from
     /// `constraints[net_idx[k]]` each iteration.
     net_pool: Vec<P::Constraint>,
@@ -224,6 +227,7 @@ impl<P: ColumnarProblem> SolveScratch<P> {
     pub fn new() -> Self {
         SolveScratch {
             net_idx: Vec::new(),
+            targets: Vec::new(),
             net_pool: Vec::new(),
             violators: Vec::new(),
         }
@@ -304,6 +308,7 @@ pub fn solve_with_scratch<P: ColumnarProblem, R: Rng>(
     // each slot's existing buffers instead of reallocating.
     scratch.net_idx.clear();
     scratch.net_idx.reserve(m);
+    scratch.targets.reserve(m);
     if m < n && scratch.net_pool.len() != m {
         scratch.net_pool.resize(m, constraints[0].clone());
     }
@@ -312,17 +317,13 @@ pub fn solve_with_scratch<P: ColumnarProblem, R: Rng>(
         stats.iterations += 1;
 
         // --- Sample the ε-net with probability proportional to weight:
-        // m O(log n) tree descents against the standing index. ---
+        // m draws resolved by one shared descent of the standing index. ---
         scratch.net_idx.clear();
         let net: &[P::Constraint] = if m >= n {
             // The net is the whole input; no copy needed.
             constraints
         } else {
-            for _ in 0..m {
-                scratch.net_idx.push(weights.draw(rng));
-            }
-            scratch.net_idx.sort_unstable();
-            scratch.net_idx.dedup();
+            weights.draw_sorted(m, rng, &mut scratch.targets, &mut scratch.net_idx);
             let live = scratch.net_idx.len();
             for (slot, &ci) in scratch.net_pool.iter_mut().zip(scratch.net_idx.iter()) {
                 slot.clone_from(&constraints[ci]);

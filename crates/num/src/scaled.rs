@@ -152,6 +152,15 @@ impl ScaledF64 {
     }
 }
 
+/// `2^-shift` for `0 ≤ shift ≤ 100`, built from its bit pattern: the
+/// exact power of two, so it equals `(-(shift as f64)).exp2()` bit for bit
+/// while keeping a libm call off every tree probe of a weighted draw.
+#[inline]
+fn pow2_neg(shift: i64) -> f64 {
+    debug_assert!((0..=100).contains(&shift));
+    f64::from_bits(((1023 - shift) as u64) << 52)
+}
+
 /// Decomposes a positive finite float into `(mantissa, exponent)` with
 /// `mantissa ∈ [0.5, 1)` such that `v = mantissa * 2^exponent`.
 fn frexp(v: f64) -> (f64, i64) {
@@ -187,19 +196,25 @@ impl fmt::Display for ScaledF64 {
 
 impl PartialOrd for ScaledF64 {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp_total(other))
+        Some(self.total_cmp(other))
     }
 }
 
 impl ScaledF64 {
-    fn cmp_total(&self, other: &Self) -> Ordering {
-        match (self.is_zero(), other.is_zero()) {
-            (true, true) => Ordering::Equal,
-            (true, false) => Ordering::Less,
-            (false, true) => Ordering::Greater,
-            (false, false) => (self.exp, self.mantissa)
-                .partial_cmp(&(other.exp, other.mantissa))
-                .expect("mantissas are finite"),
+    /// The total order behind `PartialOrd` (never `None`: zero sorts
+    /// below every positive value, mantissas are finite), for sorting.
+    pub fn total_cmp(&self, other: &Self) -> Ordering {
+        self.order_key().cmp(&other.order_key())
+    }
+
+    /// An integer key with the value's order: zero first, then by
+    /// exponent, then by mantissa — whose bit pattern orders like the
+    /// value itself, since a non-zero mantissa is positive and in `[1, 2)`.
+    fn order_key(self) -> (i64, u64) {
+        if self.is_zero() {
+            (i64::MIN, 0)
+        } else {
+            (self.exp, self.mantissa.to_bits())
         }
     }
 }
@@ -223,7 +238,7 @@ impl Add for ScaledF64 {
             // The smaller addend is below the precision of the larger.
             return hi;
         }
-        let m = hi.mantissa + lo.mantissa * (-(shift as f64)).exp2();
+        let m = hi.mantissa + lo.mantissa * pow2_neg(shift);
         Self {
             mantissa: m,
             exp: hi.exp,
@@ -247,14 +262,14 @@ impl Sub for ScaledF64 {
         if rhs.is_zero() {
             return self;
         }
-        if rhs.cmp_total(&self) != Ordering::Less {
+        if rhs.total_cmp(&self) != Ordering::Less {
             return Self::ZERO;
         }
         let shift = self.exp - rhs.exp;
         if shift > 100 {
             return self;
         }
-        let m = self.mantissa - rhs.mantissa * (-(shift as f64)).exp2();
+        let m = self.mantissa - rhs.mantissa * pow2_neg(shift);
         if m <= 0.0 {
             return Self::ZERO;
         }
@@ -327,6 +342,37 @@ mod tests {
 
     fn close(a: f64, b: f64) -> bool {
         (a - b).abs() <= 1e-9 * a.abs().max(b.abs()).max(1.0)
+    }
+
+    #[test]
+    fn pow2_neg_is_the_exp2_power_of_two() {
+        // Addition and subtraction align mantissas with `pow2_neg`; over
+        // the whole shift range they use it must equal `exp2` bit for bit,
+        // or weight sums would depend on which formulation computed them.
+        for shift in 0..=100i64 {
+            assert_eq!(
+                pow2_neg(shift).to_bits(),
+                (-(shift as f64)).exp2().to_bits(),
+                "shift {shift}"
+            );
+        }
+    }
+
+    #[test]
+    fn total_cmp_orders_zero_first_then_by_value() {
+        let vals = [
+            ScaledF64::ZERO,
+            ScaledF64::from_f64(1e-300),
+            ScaledF64::from_f64(0.75),
+            ScaledF64::from_f64(1.0),
+            ScaledF64::from_f64(1.5),
+            ScaledF64::powi(2.0, 2000),
+        ];
+        for (i, a) in vals.iter().enumerate() {
+            for (j, b) in vals.iter().enumerate() {
+                assert_eq!(a.total_cmp(b), i.cmp(&j), "{a} vs {b}");
+            }
+        }
     }
 
     #[test]

@@ -12,7 +12,11 @@
 //! * [`WeightIndex::total`] — the current total weight `w(S)` in O(1);
 //! * [`WeightIndex::sample`] — the first index whose weight prefix
 //!   exceeds a target `t` (one inversion draw) by a single O(log n) tree
-//!   descent, no materialized prefix array.
+//!   descent, no materialized prefix array;
+//! * [`WeightIndex::draw_sorted`] — a whole net's draws resolved by one
+//!   shared descent over the sorted targets
+//!   ([`WeightIndex::sample_sorted`]): each tree node is probed once per
+//!   group of targets that reaches it, not once per target.
 //!
 //! A Clarkson iteration with `|V|` violators and `m` net draws therefore
 //! costs `O(|V| log n + m log n)` instead of the `O(n + m log n)`
@@ -156,12 +160,21 @@ impl WeightIndex {
     /// Panics if the total weight is zero (nothing to sample).
     pub fn sample(&self, t: ScaledF64) -> usize {
         assert!(!self.total().is_zero(), "sampling from an all-zero index");
-        // Binary descent: `pos` counts elements whose cumulative weight is
-        // ≤ t. Each probed node `pos + half` covers `(pos, pos + half]`,
-        // so `acc` stays an exact node-sum prefix — no subtraction.
-        let mut pos = 0usize;
-        let mut acc = ScaledF64::ZERO;
-        let mut half = self.cap;
+        self.resolve(self.descend_from(0, ScaledF64::ZERO, self.cap, t))
+    }
+
+    /// Binary descent for target `t` from node state (`pos`, `acc`,
+    /// `half`); returns the end position. `pos` counts elements whose
+    /// cumulative weight is ≤ t. Each probed node `pos + half` covers
+    /// `(pos, pos + half]`, so `acc` stays an exact node-sum prefix — no
+    /// subtraction.
+    fn descend_from(
+        &self,
+        mut pos: usize,
+        mut acc: ScaledF64,
+        mut half: usize,
+        t: ScaledF64,
+    ) -> usize {
         while half > 0 {
             let next = pos + half;
             if next <= self.cap {
@@ -173,6 +186,14 @@ impl WeightIndex {
             }
             half >>= 1;
         }
+        pos
+    }
+
+    /// Maps a descent's end position to the element it selects: clamps
+    /// past-the-end positions to the last element, then steps off a
+    /// zero-weight landing onto the nearest positive-weight element,
+    /// preferring the forward direction.
+    fn resolve(&self, pos: usize) -> usize {
         let idx = pos.min(self.len() - 1);
         if !self.weights[idx].is_zero() {
             return idx;
@@ -193,6 +214,101 @@ impl WeightIndex {
     pub fn draw<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
         let t = self.total() * ScaledF64::from_f64(rng.random_range(0.0..1.0f64));
         self.sample(t)
+    }
+
+    /// Draws `count` indices i.i.d. proportional to weight and leaves them
+    /// in `out` sorted ascending and deduplicated — exactly what `count`
+    /// calls of [`draw`](Self::draw) followed by sort and dedup give, with
+    /// the RNG left in the same state.
+    ///
+    /// All `count` uniforms are drawn first, in `draw`'s order and scaling
+    /// (into `targets`, a reusable buffer); the targets are then sorted
+    /// and resolved together by [`sample_sorted`](Self::sample_sorted).
+    ///
+    /// # Panics
+    /// Panics if `count > 0` and the total weight is zero.
+    pub fn draw_sorted<R: Rng + ?Sized>(
+        &self,
+        count: usize,
+        rng: &mut R,
+        targets: &mut Vec<ScaledF64>,
+        out: &mut Vec<usize>,
+    ) {
+        targets.clear();
+        let total = self.total();
+        for _ in 0..count {
+            targets.push(total * ScaledF64::from_f64(rng.random_range(0.0..1.0f64)));
+        }
+        targets.sort_unstable_by(ScaledF64::total_cmp);
+        self.sample_sorted(targets, out);
+    }
+
+    /// [`sample`](Self::sample) for a whole batch of ascending targets:
+    /// leaves in `out` the sorted, deduplicated set of `sample(t)` over
+    /// `targets`. The targets share one tree descent that splits them at
+    /// each probed node, computing the candidate prefix `acc + tree[next]`
+    /// once per group and applying `sample`'s `cand <= t` test to every
+    /// target in it. `sample` is monotone in `t`, so the group results
+    /// come out sorted and duplicates adjacent.
+    ///
+    /// # Panics
+    /// Panics if `targets` is non-empty and the total weight is zero.
+    pub fn sample_sorted(&self, targets: &[ScaledF64], out: &mut Vec<usize>) {
+        out.clear();
+        if targets.is_empty() {
+            return;
+        }
+        assert!(!self.total().is_zero(), "sampling from an all-zero index");
+        debug_assert!(targets.is_sorted_by(|a, b| a <= b), "targets must ascend");
+        self.descend(0, ScaledF64::ZERO, self.cap, targets, out);
+    }
+
+    /// One step of [`sample_sorted`](Self::sample_sorted)'s shared descent:
+    /// every target in the sorted, non-empty group `ts` has reached the
+    /// node state (`pos`, `acc`, `half`) of [`sample`](Self::sample)'s
+    /// loop. At `half == 0` the group's common end position is resolved
+    /// and appended unless it repeats the last appended element.
+    fn descend(
+        &self,
+        pos: usize,
+        acc: ScaledF64,
+        half: usize,
+        ts: &[ScaledF64],
+        out: &mut Vec<usize>,
+    ) {
+        let end = match ts {
+            [] => return,
+            // A lone target finishes on `sample`'s own loop.
+            [t] => self.descend_from(pos, acc, half, *t),
+            _ if half == 0 => pos,
+            _ => return self.split(pos, acc, half, ts, out),
+        };
+        let idx = self.resolve(end);
+        if out.last() != Some(&idx) {
+            out.push(idx);
+        }
+    }
+
+    /// Probes node `pos + half` once for the whole group `ts` (two or more
+    /// targets, `half > 0`) and sends each part on down its side.
+    fn split(
+        &self,
+        pos: usize,
+        acc: ScaledF64,
+        half: usize,
+        ts: &[ScaledF64],
+        out: &mut Vec<usize>,
+    ) {
+        let next = pos + half;
+        if next > self.cap {
+            return self.descend(pos, acc, half >> 1, ts, out);
+        }
+        let cand = acc + self.tree[next];
+        // `sample` moves right iff `cand <= t`; `ScaledF64`'s order is
+        // total, so exactly the targets below `cand` stay left.
+        let split = ts.partition_point(|&t| t < cand);
+        self.descend(pos, acc, half >> 1, &ts[..split], out);
+        self.descend(next, cand, half >> 1, &ts[split..], out);
     }
 }
 
@@ -251,6 +367,40 @@ mod tests {
         for (t, expect) in cases {
             assert_eq!(idx.sample(ScaledF64::from_f64(t)), expect, "t={t}");
         }
+    }
+
+    /// `sample_sorted` over `ts` (ascending) against `sample` per target,
+    /// sorted and deduplicated.
+    fn assert_sample_sorted_matches_sample(idx: &WeightIndex, ts: &[f64]) {
+        let targets: Vec<ScaledF64> = ts.iter().map(|&t| ScaledF64::from_f64(t)).collect();
+        let mut want: Vec<usize> = targets.iter().map(|&t| idx.sample(t)).collect();
+        want.sort_unstable();
+        want.dedup();
+        let mut got = vec![usize::MAX];
+        idx.sample_sorted(&targets, &mut got);
+        assert_eq!(got, want, "targets {ts:?}");
+    }
+
+    #[test]
+    fn sample_sorted_matches_sample_at_boundaries_clamps_and_plateaus() {
+        // Exact prefix boundaries, t == total and beyond-total clamps.
+        let idx = from_f64s(&[2.0, 3.0, 5.0]);
+        assert_sample_sorted_matches_sample(
+            &idx,
+            &[0.0, 1.999, 2.0, 4.999, 5.0, 9.999, 10.0, 50.0],
+        );
+        assert_sample_sorted_matches_sample(&idx, &[2.0, 2.0, 5.0]);
+        assert_sample_sorted_matches_sample(&idx, &[10.0, 50.0]);
+        // A zero tail: clamped landings step back onto the same element.
+        let idx = from_f64s(&[1.0, 0.0]);
+        assert_sample_sorted_matches_sample(&idx, &[0.0, 0.5, 0.999, 1.0, 2.0]);
+        // A zero head and an interior plateau, at a non-power-of-two n.
+        let idx = from_f64s(&[0.0, 1.0, 0.0, 0.0, 2.0, 0.0]);
+        assert_sample_sorted_matches_sample(&idx, &[0.0, 0.5, 1.0, 1.5, 2.999, 3.0, 99.0]);
+        // No targets: nothing drawn, even from an all-zero index.
+        let mut out = vec![1];
+        from_f64s(&[0.0, 0.0]).sample_sorted(&[], &mut out);
+        assert!(out.is_empty());
     }
 
     #[test]

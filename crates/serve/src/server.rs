@@ -21,6 +21,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use llp_service::{LatencySummary, ServiceConfig, ServiceStats, ShardRouter, SubmitError};
+use llp_workloads::scenario::RunBudget;
 
 use crate::codec::{
     read_frame, write_frame, ErrorCode, Frame, ReadError, StatsReply, StatsRow, FLEET_SHARD,
@@ -227,6 +228,20 @@ fn respond(frame: Frame, router: &ShardRouter) -> (Frame, bool) {
                         ),
                     },
                     code.closes_connection(),
+                );
+            }
+            if request.budget == RunBudget::Huge {
+                // The out-of-core tier materializes instances of 10^8
+                // rows: one tiny frame must not buy that. Refused here,
+                // counted on the home shard, and the connection stays
+                // open; in-process callers can still ask for it.
+                router.refuse(actual);
+                return (
+                    Frame::Error {
+                        code: ErrorCode::Rejected,
+                        message: "budget \"huge\" is not served over the network".to_string(),
+                    },
+                    false,
                 );
             }
             let (_shard, admission) = router.submit(request);

@@ -1,7 +1,8 @@
 //! Hostile inline input over a live loopback server: an inline LP the
 //! solver cannot run (no constraints, non-finite coefficients, zero
 //! dimensions) gets a typed error reply instead of panicking a worker or
-//! a connection thread. Afterwards the server keeps serving, its
+//! a connection thread, and a request for the out-of-core `huge` budget
+//! is refused before any shard materializes its instance. Afterwards the server keeps serving, its
 //! counters still balance, and `NetServer::shutdown` returns.
 //!
 //! Every wait here is bounded, so a regression fails these tests
@@ -162,5 +163,29 @@ fn non_finite_or_zero_dimensional_inline_lps_are_malformed_not_a_panic() {
     // Undecodable frames never reach admission: only the valid solve
     // was submitted.
     assert_eq!(balanced_counters(&mut client), (1, 0));
+    shutdown_within_deadline(server);
+}
+
+#[test]
+fn huge_budget_is_rejected_at_the_network_boundary_and_the_connection_stays_open() {
+    let server = server();
+    let addr = server.local_addr();
+    let mut client = connect(addr);
+
+    // A ~40-byte frame naming the out-of-core tier: admitted, it would
+    // materialize a 10^8-row instance. Inline LPs under that budget are
+    // refused alike.
+    let huge_scenario = SolveRequest::scenario("lp_uniform", Model::Streaming, RunBudget::Huge, 1);
+    expect_error(&mut client, &huge_scenario, ErrorCode::Rejected);
+    let mut huge_inline = inline(
+        vec![1.0, 1.0],
+        vec![Halfspace::new(vec![-1.0, -1.0], 1.0)],
+        2,
+    );
+    huge_inline.budget = RunBudget::Huge;
+    expect_error(&mut client, &huge_inline, ErrorCode::Rejected);
+
+    still_serves(&mut client, 3);
+    assert_eq!(balanced_counters(&mut client), (3, 2));
     shutdown_within_deadline(server);
 }

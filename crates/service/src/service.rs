@@ -264,6 +264,16 @@ impl Service {
             .collect()
     }
 
+    /// Counts one request refused before admission by a boundary policy
+    /// (the network server's budget cap) as submitted and rejected, so
+    /// the conservation law `completed + shed + rejected == submitted`
+    /// keeps covering every request that reached the shard.
+    pub fn refuse(&self) {
+        let mut st = self.lock();
+        st.stats.submitted += 1;
+        st.stats.rejected += 1;
+    }
+
     /// Snapshot of the service counters.
     pub fn stats(&self) -> ServiceStats {
         self.lock().stats

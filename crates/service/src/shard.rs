@@ -144,6 +144,14 @@ impl ShardRouter {
         (shard, self.shards[shard].submit(req))
     }
 
+    /// Counts a request with this fingerprint as refused on its home
+    /// shard ([`Service::refuse`]) and returns the shard index.
+    pub fn refuse(&self, fingerprint: u128) -> usize {
+        let shard = self.ring.route(fingerprint);
+        self.shards[shard].refuse();
+        shard
+    }
+
     /// Replays a whole stream deterministically: the stream is split by
     /// home shard (preserving order within each shard), every shard
     /// admits its sub-stream atomically via [`Service::run_replay`], and

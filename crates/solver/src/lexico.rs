@@ -9,19 +9,36 @@
 //! robust): fixing `g·y = v` solves one variable out and rewrites every
 //! remaining constraint and tracked coordinate expression into the reduced
 //! space.
+//!
+//! The reduced system is one flat row-major buffer of rows
+//! `[a_0 … a_{free-1}, b]` (the layout of [`crate::seidel`]), and the
+//! coordinate expressions one `d × free` coefficient matrix; both shrink
+//! in place by a column per fixed plane, and every stage's Seidel solve
+//! reuses one set of level buffers.
 
-use crate::seidel::{self, SeidelConfig};
+use crate::seidel::{eliminate_row, SeidelConfig, SeidelScratch, Verdict};
 use crate::LpResult;
 use llp_geom::{Halfspace, Point};
 use llp_num::linalg::{dot, norm};
 use rand::Rng;
 
-/// An affine expression `constant + coefs · y` of an original coordinate in
-/// terms of the current free variables `y`.
-#[derive(Clone, Debug)]
-struct AffineExpr {
-    constant: f64,
+/// The flat working state of one [`lex_min_optimum`] call.
+#[derive(Debug, Default)]
+struct LexState {
+    /// Reduced constraint rows, stride `free + 1`.
+    rows: Vec<f64>,
+    /// One eliminated row, before [`fix_plane`] compacts it into `rows`.
+    row: Vec<f64>,
+    /// `x_j = consts[j] + coefs[j·free ..][..free] · y`: every original
+    /// coordinate as an affine expression in the free variables `y`.
     coefs: Vec<f64>,
+    consts: Vec<f64>,
+    /// The current stage objective `g`, then `[g, v]`: the plane being
+    /// fixed, in row layout.
+    plane: Vec<f64>,
+    /// The optimum of the last successful stage, in the free variables
+    /// that remain after its plane was fixed.
+    current: Vec<f64>,
 }
 
 /// Solves `min c·x : a_j·x ≤ b_j` and returns the *lexicographically
@@ -29,7 +46,8 @@ struct AffineExpr {
 ///
 /// The feasible region is intersected with the box `[-M, M]^d`
 /// (`cfg.box_half_width`); if the canonical optimum is pinned to that box
-/// the LP is reported [`LpResult::Unbounded`].
+/// the LP is reported [`LpResult::Unbounded`]. Constraints of mismatched
+/// dimension cause a panic.
 pub fn lex_min_optimum<R: Rng + ?Sized>(
     constraints: &[Halfspace],
     objective: &[f64],
@@ -37,35 +55,39 @@ pub fn lex_min_optimum<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> LpResult {
     let d = objective.len();
+    assert!(d >= 1, "objective in zero dimensions");
+    for h in constraints {
+        assert_eq!(h.dim(), d, "constraint dimension mismatch");
+    }
+    let mut lx = LexState::default();
+    let mut seidel = SeidelScratch::default();
     let m_box = cfg.box_half_width;
     // Explicit box constraints participate in every reduced stage; Seidel's
     // internal box is pushed far out so it never binds before these.
-    let mut reduced: Vec<Halfspace> = Vec::with_capacity(constraints.len() + 2 * d);
-    reduced.extend_from_slice(constraints);
+    lx.rows.reserve_exact((constraints.len() + 2 * d) * (d + 1));
+    for h in constraints {
+        lx.rows.extend_from_slice(&h.a);
+        lx.rows.push(h.b);
+    }
     for i in 0..d {
-        let mut hi = vec![0.0; d];
-        hi[i] = 1.0;
-        let mut lo = vec![0.0; d];
-        lo[i] = -1.0;
-        reduced.push(Halfspace::new(hi, m_box));
-        reduced.push(Halfspace::new(lo, m_box));
+        for sign in [1.0, -1.0] {
+            let start = lx.rows.len();
+            lx.rows.resize(start + d, 0.0);
+            lx.rows[start + i] = sign;
+            lx.rows.push(m_box);
+        }
     }
     let inner_cfg = SeidelConfig {
         box_half_width: 16.0 * m_box,
         eps: cfg.eps,
     };
 
-    // x_j = expr[j].constant + expr[j].coefs · y ; initially the identity.
-    let mut expr: Vec<AffineExpr> = (0..d)
-        .map(|j| {
-            let mut coefs = vec![0.0; d];
-            coefs[j] = 1.0;
-            AffineExpr {
-                constant: 0.0,
-                coefs,
-            }
-        })
-        .collect();
+    // x_j = consts[j] + coefs[j] · y ; initially the identity.
+    lx.coefs.resize(d * d, 0.0);
+    for j in 0..d {
+        lx.coefs[j * d + j] = 1.0;
+    }
+    lx.consts.resize(d, 0.0);
 
     // Stage 0 objective is `c`; stages 1..=d minimize the original
     // coordinates in order. `current` tracks the optimum of the last
@@ -74,60 +96,66 @@ pub fn lex_min_optimum<R: Rng + ?Sized>(
     // later-stage solver failure is numerical (tolerance-empty reduced
     // intervals on a degenerate face) and falls back to `current` instead
     // of propagating a wrong verdict.
-    let mut current: Option<Vec<f64>> = None;
+    let mut has_current = false;
+    let mut free = d;
     for stage in 0..=d {
-        let free = expr[0].coefs.len();
         if free == 0 {
             break;
         }
-        let obj: Vec<f64> = if stage == 0 {
+        lx.plane.clear();
+        if stage == 0 {
             // c expressed over the free variables.
-            let mut o = vec![0.0; free];
+            lx.plane.resize(free, 0.0);
             for j in 0..d {
                 for k in 0..free {
-                    o[k] += objective[j] * expr[j].coefs[k];
+                    lx.plane[k] += objective[j] * lx.coefs[j * free + k];
                 }
             }
-            o
         } else {
-            expr[stage - 1].coefs.clone()
-        };
-        if norm(&obj) <= 1e-12 {
+            let row = (stage - 1) * free;
+            lx.plane.extend_from_slice(&lx.coefs[row..row + free]);
+        }
+        if norm(&lx.plane) <= 1e-12 {
             // This stage's coordinate is already pinned by earlier planes.
             continue;
         }
-        let y = match seidel::solve(&reduced, &obj, &inner_cfg, rng) {
-            LpResult::Optimal(y) => y,
-            LpResult::Infeasible | LpResult::Unbounded if stage > 0 => {
+        seidel.load(free).extend_from_slice(&lx.rows);
+        match seidel.solve(&lx.plane, &inner_cfg, rng) {
+            Verdict::Optimal => {}
+            Verdict::Infeasible | Verdict::Unbounded if stage > 0 => {
                 // Numerical failure on the (feasible) optimal face: keep
                 // the refinement achieved so far.
                 break;
             }
-            LpResult::Infeasible => return LpResult::Infeasible,
-            LpResult::Unbounded => return LpResult::Unbounded,
-        };
-        let v = dot(&obj, &y);
-        let pivot = fix_plane(&mut reduced, &mut expr, &obj, v);
-        let mut reduced_y = y;
-        reduced_y.remove(pivot);
-        current = Some(reduced_y);
+            Verdict::Infeasible => return LpResult::Infeasible,
+            Verdict::Unbounded => return LpResult::Unbounded,
+        }
+        let y = seidel.point(free);
+        let v = dot(&lx.plane, y);
+        let pivot = fix_plane(&mut lx, v);
+        lx.current.clear();
+        for (k, &yk) in y.iter().enumerate() {
+            if k != pivot {
+                lx.current.push(yk);
+            }
+        }
+        has_current = true;
+        free -= 1;
     }
 
     // Reconstruct: coordinates still free take their values from the last
     // successful stage's optimum (zero only if no stage ever solved,
     // which stage 0 rules out).
-    let x: Point = expr
-        .iter()
-        .map(|e| {
-            let mut v = e.constant;
-            if let Some(y) = &current {
-                for (k, &c) in e.coefs.iter().enumerate() {
-                    v += c * y[k];
-                }
+    let mut x: Point = Vec::with_capacity(d);
+    for j in 0..d {
+        let mut v = lx.consts[j];
+        if has_current {
+            for (k, &c) in lx.coefs[j * free..(j + 1) * free].iter().enumerate() {
+                v += c * lx.current[k];
             }
-            v
-        })
-        .collect();
+        }
+        x.push(v);
+    }
     if x.iter().any(|v| v.abs() >= m_box * (1.0 - 1e-6)) {
         return LpResult::Unbounded;
     }
@@ -144,13 +172,14 @@ pub fn lex_min_optimum<R: Rng + ?Sized>(
     LpResult::Optimal(x)
 }
 
-/// Restricts the system to the plane `g·y = v`: eliminates the free
-/// variable with the largest `|g|` coefficient from every constraint and
-/// every coordinate expression. Returns the eliminated variable's index
-/// (in the pre-elimination free coordinates).
-fn fix_plane(reduced: &mut Vec<Halfspace>, expr: &mut [AffineExpr], g: &[f64], v: f64) -> usize {
-    let free = g.len();
+/// Restricts the system to the plane `g·y = v` (`g` is `lx.plane`):
+/// eliminates the free variable with the largest `|g|` coefficient from
+/// every constraint row and every coordinate expression. Returns the
+/// eliminated variable's index (in the pre-elimination free coordinates).
+fn fix_plane(lx: &mut LexState, v: f64) -> usize {
+    let free = lx.plane.len();
     debug_assert!(free >= 1);
+    let g = &lx.plane;
     let mut pivot = 0;
     for k in 1..free {
         if g[k].abs() > g[pivot].abs() {
@@ -160,165 +189,40 @@ fn fix_plane(reduced: &mut Vec<Halfspace>, expr: &mut [AffineExpr], g: &[f64], v
     let gp = g[pivot];
     debug_assert!(gp.abs() > 1e-12);
 
-    let plane = Halfspace::new(g.to_vec(), v);
-    let old = std::mem::take(reduced);
-    reduced.reserve(old.len());
-    for h in &old {
-        let r = plane.eliminate_into(h, pivot);
-        // Drop constraints that became trivial (zero normal, satisfied).
-        if norm(&r.a) <= 1e-12 && r.b >= -1e-9 {
+    // y_pivot = (v - Σ_{i≠pivot} g_i y_i) / g_pivot; substitute into every
+    // coordinate expression and drop the pivot column, compacting the
+    // matrix in place (row j's writes never pass its unread entries).
+    let d = lx.consts.len();
+    for j in 0..d {
+        let (src, dst) = (j * free, j * (free - 1));
+        let cp = lx.coefs[src + pivot];
+        let mut w = 0;
+        for i in 0..free {
+            if i != pivot {
+                lx.coefs[dst + w] = lx.coefs[src + i] - cp * g[i] / gp;
+                w += 1;
+            }
+        }
+        lx.consts[j] += cp * v / gp;
+    }
+    lx.coefs.truncate(d * (free - 1));
+
+    // Rewrite every constraint row onto the plane, dropping those that
+    // became trivial (zero normal, satisfied). Row `r` lands in slot
+    // `kept ≤ r` of the narrower layout, which only covers rows already
+    // read, so the compaction runs in place.
+    lx.plane.push(v);
+    lx.row.resize(free, 0.0);
+    let mut kept = 0;
+    for r in 0..lx.rows.len() / (free + 1) {
+        let h = &lx.rows[r * (free + 1)..(r + 1) * (free + 1)];
+        eliminate_row(&lx.plane, h, pivot, &mut lx.row);
+        if norm(&lx.row[..free - 1]) <= 1e-12 && lx.row[free - 1] >= -1e-9 {
             continue;
         }
-        reduced.push(r);
+        lx.rows[kept * free..(kept + 1) * free].copy_from_slice(&lx.row);
+        kept += 1;
     }
-
-    // y_pivot = (v - Σ_{i≠pivot} g_i y_i) / g_pivot; substitute into every
-    // coordinate expression and drop the pivot column.
-    for e in expr.iter_mut() {
-        let cp = e.coefs[pivot];
-        let mut coefs = Vec::with_capacity(free - 1);
-        for i in 0..free {
-            if i == pivot {
-                continue;
-            }
-            coefs.push(e.coefs[i] - cp * g[i] / gp);
-        }
-        e.constant += cp * v / gp;
-        e.coefs = coefs;
-    }
+    lx.rows.truncate(kept * free);
     pivot
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    fn rng() -> StdRng {
-        StdRng::seed_from_u64(99)
-    }
-
-    fn lex(cs: &[Halfspace], c: &[f64]) -> LpResult {
-        lex_min_optimum(cs, c, &SeidelConfig::default(), &mut rng())
-    }
-
-    fn assert_pt(x: &[f64], want: &[f64]) {
-        for i in 0..x.len() {
-            assert!((x[i] - want[i]).abs() < 1e-5, "x = {x:?}, want {want:?}");
-        }
-    }
-
-    #[test]
-    fn unique_vertex_unchanged() {
-        let cs = vec![
-            Halfspace::new(vec![1.0, 2.0], 4.0),
-            Halfspace::new(vec![3.0, 1.0], 6.0),
-        ];
-        let r = lex(&cs, &[-1.0, -1.0]);
-        assert_pt(r.point().unwrap(), &[1.6, 1.2]);
-    }
-
-    #[test]
-    fn degenerate_face_breaks_ties_lexicographically() {
-        // min x + y on the square [0,1]^2: the whole edge from (0,0) is not
-        // optimal — only (0,0) minimizes; instead use objective (1, 0): the
-        // optimal face is the segment x = 0, y ∈ [0, 1]; lexicographic
-        // tie-break must pick y = 0.
-        let cs = vec![
-            Halfspace::new(vec![-1.0, 0.0], 0.0),
-            Halfspace::new(vec![0.0, -1.0], 0.0),
-            Halfspace::new(vec![1.0, 0.0], 1.0),
-            Halfspace::new(vec![0.0, 1.0], 1.0),
-        ];
-        let r = lex(&cs, &[1.0, 0.0]);
-        assert_pt(r.point().unwrap(), &[0.0, 0.0]);
-    }
-
-    #[test]
-    fn zero_objective_gives_lex_smallest_feasible() {
-        let cs = vec![
-            Halfspace::new(vec![-1.0, 0.0], -2.0), // x ≥ 2
-            Halfspace::new(vec![0.0, -1.0], -3.0), // y ≥ 3
-            Halfspace::new(vec![1.0, 1.0], 100.0),
-        ];
-        let r = lex(&cs, &[0.0, 0.0]);
-        assert_pt(r.point().unwrap(), &[2.0, 3.0]);
-    }
-
-    #[test]
-    fn infeasible_propagates() {
-        let cs = vec![
-            Halfspace::new(vec![1.0, 0.0], 0.0),
-            Halfspace::new(vec![-1.0, 0.0], -1.0),
-        ];
-        assert_eq!(lex(&cs, &[1.0, 1.0]), LpResult::Infeasible);
-    }
-
-    #[test]
-    fn unbounded_detected() {
-        // min 0 subject to x ≥ 0 only: lexicographic min sends y to -M.
-        let cs = vec![Halfspace::new(vec![-1.0, 0.0], 0.0)];
-        assert_eq!(lex(&cs, &[0.0, 0.0]), LpResult::Unbounded);
-    }
-
-    #[test]
-    fn three_dim_degenerate_face() {
-        // Objective only on x0; optimal face is the square x0 = 0,
-        // (x1, x2) ∈ [0,1]^2. Lexicographic pick: (0, 0, 0).
-        let mut cs = Vec::new();
-        for i in 0..3 {
-            let mut lo = vec![0.0; 3];
-            lo[i] = -1.0;
-            let mut hi = vec![0.0; 3];
-            hi[i] = 1.0;
-            cs.push(Halfspace::new(lo, 0.0));
-            cs.push(Halfspace::new(hi, 1.0));
-        }
-        let r = lex(&cs, &[1.0, 0.0, 0.0]);
-        assert_pt(r.point().unwrap(), &[0.0, 0.0, 0.0]);
-    }
-
-    #[test]
-    fn respects_equality_like_pairs() {
-        // x + y = 1 encoded as two inequalities; min x -> x as small as
-        // possible: x ≥ 0 binds? No lower bound on x other than y ≤ 1 =>
-        // x ≥ 0. Add y ≤ 1.
-        let cs = vec![
-            Halfspace::new(vec![1.0, 1.0], 1.0),
-            Halfspace::new(vec![-1.0, -1.0], -1.0),
-            Halfspace::new(vec![0.0, 1.0], 1.0),
-        ];
-        let r = lex(&cs, &[1.0, 0.0]);
-        assert_pt(r.point().unwrap(), &[0.0, 1.0]);
-    }
-
-    #[test]
-    fn matches_plain_seidel_value_on_random_bounded_lps() {
-        use rand::Rng;
-        let mut r = rng();
-        for _ in 0..25 {
-            let d = 3;
-            let mut cs = Vec::new();
-            for _ in 0..60 {
-                let mut a: Vec<f64> = (0..d).map(|_| r.random_range(-1.0..1.0)).collect();
-                let n = norm(&a);
-                if n < 1e-3 {
-                    continue;
-                }
-                a.iter_mut().for_each(|v| *v /= n);
-                cs.push(Halfspace::new(a, 1.0));
-            }
-            let c: Vec<f64> = (0..d).map(|_| r.random_range(-1.0..1.0)).collect();
-            let plain = seidel::solve(&cs, &c, &SeidelConfig::default(), &mut r);
-            let lexed = lex_min_optimum(&cs, &c, &SeidelConfig::default(), &mut r);
-            if let (LpResult::Optimal(p), LpResult::Optimal(q)) = (&plain, &lexed) {
-                let (vp, vq) = (dot(&c, p), dot(&c, q));
-                assert!(
-                    (vp - vq).abs() < 1e-5 * vp.abs().max(1.0),
-                    "objective mismatch: seidel {vp} vs lex {vq}"
-                );
-            }
-        }
-    }
 }

@@ -8,14 +8,22 @@
 //! The algorithm processes constraints in random order, maintaining the
 //! optimum of the prefix. When the next constraint is violated, the new
 //! optimum lies on its boundary hyperplane, so the problem recurses into
-//! `d - 1` dimensions via exact variable elimination
-//! ([`Halfspace::eliminate_into`]). Expected running time is `O(d! · m)`
-//! for `m` constraints — linear in `m` for fixed `d`, which is the regime
-//! of the paper.
+//! `d - 1` dimensions via exact variable elimination (`eliminate_row`).
+//! Expected running time is `O(d! · m)` for `m` constraints — linear in
+//! `m` for fixed `d`, which is the regime of the paper.
+//!
+//! # Flat layout
+//!
+//! Constraints live in one flat row-major `f64` buffer per dimension
+//! level: a `k`-dimensional level holds rows `[a_0 … a_{k-1}, b]` of
+//! stride `k + 1`. Normalization, elimination into the next level down,
+//! the Fisher–Yates row shuffle and the lift back up all work on those
+//! buffers in place. A solve allocates one buffer set (`SeidelScratch`)
+//! and reuses it for every recursion.
 
 use crate::LpResult;
-use llp_geom::{Halfspace, Point};
-use rand::seq::SliceRandom;
+use llp_geom::Halfspace;
+use llp_num::linalg::{dot, norm};
 use rand::Rng;
 
 /// Configuration for the Seidel solver.
@@ -51,32 +59,94 @@ pub fn solve<R: Rng + ?Sized>(
     for h in constraints {
         assert_eq!(h.dim(), d, "constraint dimension mismatch");
     }
-    // Work on an index permutation of normalized constraints.
-    let mut work: Vec<Halfspace> = constraints.iter().map(normalize).collect();
-    work.shuffle(rng);
-    match solve_rec(&work, objective, cfg, rng) {
-        Some(x) => {
-            if on_box(&x, cfg) {
-                LpResult::Unbounded
-            } else {
-                LpResult::Optimal(x)
-            }
-        }
-        None => LpResult::Infeasible,
+    let mut scratch = SeidelScratch::default();
+    let rows = scratch.load(d);
+    rows.reserve_exact(constraints.len() * (d + 1));
+    for h in constraints {
+        rows.extend_from_slice(&h.a);
+        rows.push(h.b);
+    }
+    match scratch.solve(objective, cfg, rng) {
+        Verdict::Optimal => LpResult::Optimal(scratch.point(d).to_vec()),
+        Verdict::Infeasible => LpResult::Infeasible,
+        Verdict::Unbounded => LpResult::Unbounded,
     }
 }
 
-/// Scales a constraint so `‖a‖ = 1` (pure normalization; the halfspace is
-/// unchanged). Constraints with a zero normal become `0 ≤ b` and are kept
-/// verbatim so infeasibility (`b < 0`) is still detected.
-fn normalize(h: &Halfspace) -> Halfspace {
-    let n = llp_num::linalg::norm(&h.a);
-    if n <= 1e-300 {
-        return h.clone();
+/// Outcome of a flat solve; an optimal point stays in the scratch
+/// ([`SeidelScratch::point`]).
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Verdict {
+    Optimal,
+    Infeasible,
+    Unbounded,
+}
+
+/// One dimension level of the recursion.
+#[derive(Debug, Default)]
+struct Level {
+    /// Rows `[a_0 … a_{k-1}, b]` of stride `k + 1` for a `k`-dimensional
+    /// level.
+    rows: Vec<f64>,
+    /// The level's objective (length `k`).
+    obj: Vec<f64>,
+    /// The level's current optimum (length `k`).
+    x: Vec<f64>,
+    /// A box row `±e_var ≤ M` (stride `k + 1`), eliminated into the level
+    /// below alongside the prefix.
+    unit: Vec<f64>,
+}
+
+/// Per-level buffers of the Seidel recursion, `levels[k - 1]` serving
+/// dimension `k`; reused by every recursion of a solve and, in
+/// [`crate::lexico`], by every stage.
+#[derive(Debug, Default)]
+pub(crate) struct SeidelScratch {
+    levels: Vec<Level>,
+}
+
+impl SeidelScratch {
+    /// Clears the top level of a `d`-dimensional solve and returns its row
+    /// buffer; the caller appends unnormalized rows `[a_0 … a_{d-1}, b]`.
+    pub(crate) fn load(&mut self, d: usize) -> &mut Vec<f64> {
+        if self.levels.len() < d {
+            self.levels.resize_with(d, Level::default);
+        }
+        let rows = &mut self.levels[d - 1].rows;
+        rows.clear();
+        rows
     }
-    Halfspace {
-        a: h.a.iter().map(|v| v / n).collect(),
-        b: h.b / n,
+
+    /// Solves over the rows [`load`](Self::load)ed for
+    /// `objective.len()` dimensions: normalizes and shuffles them in place,
+    /// then runs the recursion.
+    pub(crate) fn solve<R: Rng + ?Sized>(
+        &mut self,
+        objective: &[f64],
+        cfg: &SeidelConfig,
+        rng: &mut R,
+    ) -> Verdict {
+        let d = objective.len();
+        let levels = &mut self.levels[..d];
+        let top = &mut levels[d - 1];
+        for row in top.rows.chunks_exact_mut(d + 1) {
+            normalize_row(row);
+        }
+        shuffle_rows(&mut top.rows, d + 1, rng);
+        top.obj.clear();
+        top.obj.extend_from_slice(objective);
+        if !solve_level(levels, cfg, rng) {
+            Verdict::Infeasible
+        } else if on_box(&levels[d - 1].x, cfg) {
+            Verdict::Unbounded
+        } else {
+            Verdict::Optimal
+        }
+    }
+
+    /// The optimum of the last `d`-dimensional [`solve`](Self::solve).
+    pub(crate) fn point(&self, d: usize) -> &[f64] {
+        &self.levels[d - 1].x
     }
 }
 
@@ -85,44 +155,41 @@ fn on_box(x: &[f64], cfg: &SeidelConfig) -> bool {
     x.iter().any(|v| v.abs() >= m * (1.0 - 1e-6))
 }
 
-/// Recursive core. `None` means infeasible. The returned point is the
-/// optimum over `constraints ∩ [-M, M]^d`.
-fn solve_rec<R: Rng + ?Sized>(
-    constraints: &[Halfspace],
-    objective: &[f64],
-    cfg: &SeidelConfig,
-    rng: &mut R,
-) -> Option<Point> {
-    let d = objective.len();
+/// Recursive core over `levels`, whose last entry is the current level
+/// (dimension `levels.len()`). `false` means infeasible; otherwise the
+/// current level's `x` is the optimum over its rows `∩ [-M, M]^d`.
+fn solve_level<R: Rng + ?Sized>(levels: &mut [Level], cfg: &SeidelConfig, rng: &mut R) -> bool {
+    let d = levels.len();
+    let (lower, cur) = levels.split_at_mut(d - 1);
+    let cur = &mut cur[0];
     if d == 1 {
-        return solve_1d(constraints, objective[0], cfg);
+        return solve_1d(cur, cfg);
     }
 
     // Start from the box vertex minimizing the objective (deterministic
     // tie-break toward -M).
     let m = cfg.box_half_width;
-    let mut x: Point = objective
-        .iter()
-        .map(|&c| {
-            if c > 0.0 {
-                -m
-            } else if c < 0.0 {
-                m
-            } else {
-                -m
-            }
-        })
-        .collect();
+    cur.x.clear();
+    cur.x.extend(cur.obj.iter().map(|&c| {
+        if c > 0.0 {
+            -m
+        } else if c < 0.0 {
+            m
+        } else {
+            -m
+        }
+    }));
 
-    for i in 0..constraints.len() {
-        let h = &constraints[i];
-        if h.contains_eps(&x, cfg.eps) {
+    let stride = d + 1;
+    for i in 0..cur.rows.len() / stride {
+        let h = &cur.rows[i * stride..(i + 1) * stride];
+        if row_contains_eps(h, &cur.x, cfg.eps) {
             continue;
         }
         // Zero-normal constraint that x fails is 0 ≤ b with b < 0.
-        let (pivot_var, pivot_mag) = argmax_abs(&h.a);
+        let (pivot_var, pivot_mag) = argmax_abs(&h[..d]);
         if pivot_mag <= 1e-12 {
-            return None;
+            return false;
         }
         // New optimum lies on the boundary of h: eliminate pivot_var and
         // recurse on the prefix (plus the box constraints of the eliminated
@@ -135,39 +202,47 @@ fn solve_rec<R: Rng + ?Sized>(
         // which read as false `Infeasible` verdicts on near-tie inputs.
         // Normalizing restores ‖a‖ = 1 so the relative eps comparison in
         // the base case measures true geometric slack.
-        let mut reduced: Vec<Halfspace> = Vec::with_capacity(i + 2);
-        for g in &constraints[..i] {
-            reduced.push(normalize(&h.eliminate_into(g, pivot_var)));
+        let next = &mut lower[d - 2];
+        next.rows.resize((i + 2) * d, 0.0);
+        let (prefix, boxes) = next.rows.split_at_mut(i * d);
+        for (g, out) in cur.rows[..i * stride]
+            .chunks_exact(stride)
+            .zip(prefix.chunks_exact_mut(d))
+        {
+            eliminate_row(h, g, pivot_var, out);
+            normalize_row(out);
         }
         // Box for the eliminated variable: x_var ≤ M and -x_var ≤ M.
-        let mut lo = vec![0.0; d];
-        lo[pivot_var] = -1.0;
-        let mut hi = vec![0.0; d];
-        hi[pivot_var] = 1.0;
-        reduced.push(normalize(
-            &h.eliminate_into(&Halfspace::new(hi, m), pivot_var),
-        ));
-        reduced.push(normalize(
-            &h.eliminate_into(&Halfspace::new(lo, m), pivot_var),
-        ));
+        let (hi, lo) = boxes.split_at_mut(d);
+        cur.unit.clear();
+        cur.unit.resize(stride, 0.0);
+        cur.unit[d] = m;
+        cur.unit[pivot_var] = 1.0;
+        eliminate_row(h, &cur.unit, pivot_var, hi);
+        normalize_row(hi);
+        cur.unit[pivot_var] = -1.0;
+        eliminate_row(h, &cur.unit, pivot_var, lo);
+        normalize_row(lo);
 
         // Objective restricted to the hyperplane: substitute x_var.
-        let scale = objective[pivot_var] / h.a[pivot_var];
-        let mut obj_red = Vec::with_capacity(d - 1);
+        let scale = cur.obj[pivot_var] / h[pivot_var];
+        next.obj.clear();
         for k in 0..d {
             if k != pivot_var {
-                obj_red.push(objective[k] - scale * h.a[k]);
+                next.obj.push(cur.obj[k] - scale * h[k]);
             }
         }
-        reduced.shuffle(rng);
-        let y = solve_rec(&reduced, &obj_red, cfg, rng)?;
-        x = h.lift(&y, pivot_var);
+        shuffle_rows(&mut next.rows, d, rng);
+        if !solve_level(lower, cfg, rng) {
+            return false;
+        }
+        lift_row(h, &lower[d - 2].x, pivot_var, &mut cur.x);
         // Clamp lift noise back into the box.
-        for v in &mut x {
+        for v in &mut cur.x {
             *v = v.clamp(-m, m);
         }
     }
-    Some(x)
+    true
 }
 
 fn argmax_abs(a: &[f64]) -> (usize, f64) {
@@ -185,20 +260,20 @@ fn argmax_abs(a: &[f64]) -> (usize, f64) {
 /// One-dimensional base case: intersect rays, pick the endpoint minimizing
 /// `c·x` (tie-break toward the smaller endpoint so the result is
 /// deterministic given the constraint set).
-fn solve_1d(constraints: &[Halfspace], c: f64, cfg: &SeidelConfig) -> Option<Point> {
+fn solve_1d(level: &mut Level, cfg: &SeidelConfig) -> bool {
     let m = cfg.box_half_width;
     let mut lo = -m;
     let mut hi = m;
-    for h in constraints {
-        let a = h.a[0];
+    for row in level.rows.chunks_exact(2) {
+        let (a, b) = (row[0], row[1]);
         if a.abs() <= 1e-12 {
             // 0·x ≤ b: infeasible iff b is definitely negative.
-            if h.b < -cfg.eps {
-                return None;
+            if b < -cfg.eps {
+                return false;
             }
             continue;
         }
-        let bound = h.b / a;
+        let bound = b / a;
         if a > 0.0 {
             hi = hi.min(bound);
         } else {
@@ -206,9 +281,10 @@ fn solve_1d(constraints: &[Halfspace], c: f64, cfg: &SeidelConfig) -> Option<Poi
         }
     }
     if lo > hi + cfg.eps * lo.abs().max(hi.abs()).max(1.0) {
-        return None;
+        return false;
     }
     let hi = hi.max(lo); // collapse tolerance-sized inversions
+    let c = level.obj[0];
     let x = if c > 0.0 {
         lo
     } else if c < 0.0 {
@@ -216,212 +292,166 @@ fn solve_1d(constraints: &[Halfspace], c: f64, cfg: &SeidelConfig) -> Option<Poi
     } else {
         lo
     };
-    Some(vec![x])
+    level.x.clear();
+    level.x.push(x);
+    true
+}
+
+/// True iff `x` satisfies the row `[a, b]` up to relative tolerance `eps`
+/// — the flat twin of [`Halfspace::contains_eps`], same operations.
+#[inline]
+fn row_contains_eps(row: &[f64], x: &[f64], eps: f64) -> bool {
+    let (a, b) = row.split_at(row.len() - 1);
+    let b = b[0];
+    let ax = dot(a, x);
+    ax <= b + eps * ax.abs().max(b.abs()).max(1.0)
+}
+
+/// Scales the row `[a, b]` in place so `‖a‖ = 1` (the halfspace is
+/// unchanged). A zero normal is left verbatim so infeasibility (`b < 0`)
+/// is still detected.
+pub(crate) fn normalize_row(row: &mut [f64]) {
+    let n = norm(&row[..row.len() - 1]);
+    if n <= 1e-300 {
+        return;
+    }
+    for v in row.iter_mut() {
+        *v /= n;
+    }
+}
+
+/// Eliminates variable `var` from the row `g = [a, b]` through the boundary
+/// `plane·x = plane_b` of the row `plane`, writing the `(d-1)`-dimensional
+/// row into `out` (stride one shorter, `var` removed, order kept).
+///
+/// The boundary gives `x_var = (plane_b - Σ_{i≠var} plane_i x_i) /
+/// plane_var`; substituting it into `g` rewrites every entry, `b`
+/// included, as `g_k - (g_var / plane_var) · plane_k`. The caller
+/// guarantees `plane[var] != 0`.
+pub(crate) fn eliminate_row(plane: &[f64], g: &[f64], var: usize, out: &mut [f64]) {
+    debug_assert_eq!(plane.len(), g.len());
+    debug_assert_eq!(out.len() + 1, g.len());
+    let scale = g[var] / plane[var];
+    let mut w = 0;
+    for k in 0..g.len() {
+        if k != var {
+            out[w] = g[k] - scale * plane[k];
+            w += 1;
+        }
+    }
+}
+
+/// Lifts a point `y` of the eliminated space back onto the boundary of the
+/// row `plane = [a, b]`, restoring coordinate `var` — the inverse of
+/// [`eliminate_row`]. Writes all `d` coordinates into `x`.
+pub(crate) fn lift_row(plane: &[f64], y: &[f64], var: usize, x: &mut [f64]) {
+    let d = plane.len() - 1;
+    debug_assert_eq!(y.len() + 1, d);
+    debug_assert_eq!(x.len(), d);
+    let mut yi = 0;
+    let mut partial = 0.0;
+    for i in 0..d {
+        if i != var {
+            partial += plane[i] * y[yi];
+            x[i] = y[yi];
+            yi += 1;
+        }
+    }
+    x[var] = (plane[d] - partial) / plane[var];
+}
+
+/// Fisher–Yates shuffle of the rows of stride `stride`, drawing exactly the
+/// sequence `rand::seq::SliceRandom::shuffle` draws for a slice of that
+/// many rows: one `random_range(0..=i)` per `i` from the last row down to
+/// 1, then a swap of rows `i` and `j`.
+pub(crate) fn shuffle_rows<R: Rng + ?Sized>(rows: &mut [f64], stride: usize, rng: &mut R) {
+    let n = rows.len() / stride;
+    for i in (1..n).rev() {
+        let j = rng.random_range(0..=i);
+        if j != i {
+            let (head, tail) = rows.split_at_mut(i * stride);
+            head[j * stride..(j + 1) * stride].swap_with_slice(&mut tail[..stride]);
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use llp_num::linalg::dot;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn rng() -> StdRng {
-        StdRng::seed_from_u64(7)
+    /// Slack `b - a·x` of a row `[a, b]`.
+    fn row_slack(row: &[f64], x: &[f64]) -> f64 {
+        row[row.len() - 1] - dot(&row[..row.len() - 1], x)
     }
 
-    fn assert_pt(x: &[f64], want: &[f64]) {
-        assert_eq!(x.len(), want.len());
-        for i in 0..x.len() {
-            assert!((x[i] - want[i]).abs() < 1e-6, "x = {x:?}, want {want:?}");
+    #[test]
+    fn eliminate_then_lift_roundtrip() {
+        // Plane x0 + 2*x1 + x2 = 4; eliminate x1.
+        let plane = [1.0, 2.0, 1.0, 4.0];
+        let other = [3.0, 1.0, -1.0, 5.0];
+        let mut reduced = [0.0; 3];
+        eliminate_row(&plane, &other, 1, &mut reduced);
+        // A point on the plane: pick y = (x0, x2) = (1, 1) -> x1 = (4-2)/2 = 1.
+        let mut x = [0.0; 3];
+        lift_row(&plane, &[1.0, 1.0], 1, &mut x);
+        assert_eq!(x, [1.0, 1.0, 1.0]);
+        // The reduced constraint at y must equal the original at the lifted x.
+        assert!((row_slack(&reduced, &[1.0, 1.0]) - row_slack(&other, &x)).abs() < 1e-12);
+    }
+
+    /// `shuffle_rows` over `n` rows of stride 3 against the slice shuffle
+    /// of `n` row ids from the same seed: same permutation, rows moved
+    /// whole, same RNG state after.
+    fn assert_shuffle_matches_slice_shuffle(n: usize) {
+        use rand::seq::SliceRandom;
+        use rand::RngCore;
+        let ids: Vec<f64> = (0..n).map(|i| i as f64).collect();
+        let mut want = ids.clone();
+        let mut r1 = StdRng::seed_from_u64(n as u64);
+        want.shuffle(&mut r1);
+        let mut rows: Vec<f64> = ids.iter().flat_map(|&v| [v, v, v]).collect();
+        let mut r2 = StdRng::seed_from_u64(n as u64);
+        shuffle_rows(&mut rows, 3, &mut r2);
+        let got: Vec<f64> = rows.chunks_exact(3).map(|r| r[0]).collect();
+        assert_eq!(got, want, "n = {n}");
+        assert!(rows.chunks_exact(3).all(|r| r[0] == r[1] && r[1] == r[2]));
+        assert_eq!(r1.next_u64(), r2.next_u64(), "RNG state after n = {n}");
+    }
+
+    #[test]
+    fn shuffle_rows_draws_the_slice_shuffle_sequence() {
+        for n in [0usize, 1, 2, 7, 33] {
+            assert_shuffle_matches_slice_shuffle(n);
         }
     }
 
-    #[test]
-    fn one_dim_interval() {
-        // x ≤ 5, -x ≤ -2 (x ≥ 2); min x -> 2, max x (c = -1) -> 5.
-        let cs = vec![
-            Halfspace::new(vec![1.0], 5.0),
-            Halfspace::new(vec![-1.0], -2.0),
-        ];
-        let r = solve(&cs, &[1.0], &SeidelConfig::default(), &mut rng());
-        assert_pt(r.point().unwrap(), &[2.0]);
-        let r = solve(&cs, &[-1.0], &SeidelConfig::default(), &mut rng());
-        assert_pt(r.point().unwrap(), &[5.0]);
-    }
-
-    #[test]
-    fn one_dim_infeasible() {
-        let cs = vec![
-            Halfspace::new(vec![1.0], 1.0),
-            Halfspace::new(vec![-1.0], -2.0),
-        ];
-        assert_eq!(
-            solve(&cs, &[1.0], &SeidelConfig::default(), &mut rng()),
-            LpResult::Infeasible
-        );
-    }
-
-    #[test]
-    fn two_dim_vertex() {
-        // min -x - y subject to x + 2y ≤ 4, 3x + y ≤ 6, in the box.
-        // Optimum at intersection: x = 8/5, y = 6/5.
-        let cs = vec![
-            Halfspace::new(vec![1.0, 2.0], 4.0),
-            Halfspace::new(vec![3.0, 1.0], 6.0),
-        ];
-        let r = solve(&cs, &[-1.0, -1.0], &SeidelConfig::default(), &mut rng());
-        assert_pt(r.point().unwrap(), &[1.6, 1.2]);
-    }
-
-    #[test]
-    fn two_dim_unbounded_detected() {
-        // min -x with only x ≥ 0: optimum runs to the box.
-        let cs = vec![Halfspace::new(vec![-1.0, 0.0], 0.0)];
-        assert_eq!(
-            solve(&cs, &[-1.0, 0.0], &SeidelConfig::default(), &mut rng()),
-            LpResult::Unbounded
-        );
-    }
-
-    #[test]
-    fn two_dim_infeasible() {
-        let cs = vec![
-            Halfspace::new(vec![1.0, 0.0], 0.0),
-            Halfspace::new(vec![-1.0, 0.0], -1.0), // x ≥ 1 and x ≤ 0
-        ];
-        assert_eq!(
-            solve(&cs, &[1.0, 1.0], &SeidelConfig::default(), &mut rng()),
-            LpResult::Infeasible
-        );
-    }
-
-    #[test]
-    fn three_dim_simplex_corner() {
-        // min -(x+y+z) s.t. x+y+z ≤ 1, -x ≤ 0, -y ≤ 0, -z ≤ 0.
-        let cs = vec![
-            Halfspace::new(vec![1.0, 1.0, 1.0], 1.0),
-            Halfspace::new(vec![-1.0, 0.0, 0.0], 0.0),
-            Halfspace::new(vec![0.0, -1.0, 0.0], 0.0),
-            Halfspace::new(vec![0.0, 0.0, -1.0], 0.0),
-        ];
-        let r = solve(
-            &cs,
-            &[-1.0, -1.0, -1.0],
-            &SeidelConfig::default(),
-            &mut rng(),
-        );
-        let x = r.point().unwrap();
-        let sum: f64 = x.iter().sum();
-        assert!(
-            (sum - 1.0).abs() < 1e-6,
-            "optimum on the simplex facet, got {x:?}"
-        );
-    }
-
-    #[test]
-    fn redundant_constraints_ignored() {
-        let mut cs = vec![
-            Halfspace::new(vec![1.0, 0.0], 1.0),
-            Halfspace::new(vec![0.0, 1.0], 1.0),
-            Halfspace::new(vec![-1.0, 0.0], 0.0),
-            Halfspace::new(vec![0.0, -1.0], 0.0),
-        ];
-        // Add many redundant copies far away.
-        for k in 2..200 {
-            cs.push(Halfspace::new(vec![1.0, 1.0], k as f64));
-        }
-        let r = solve(&cs, &[-1.0, -1.0], &SeidelConfig::default(), &mut rng());
-        assert_pt(r.point().unwrap(), &[1.0, 1.0]);
-    }
-
-    #[test]
-    fn zero_normal_infeasible_constraint() {
-        let cs = vec![Halfspace::new(vec![0.0, 0.0], -1.0)];
-        assert_eq!(
-            solve(&cs, &[1.0, 1.0], &SeidelConfig::default(), &mut rng()),
-            LpResult::Infeasible
-        );
-    }
-
-    #[test]
-    fn near_tie_cluster_is_not_falsely_infeasible() {
-        // A cluster of near-parallel constraints, all passing within 1e-9
-        // of a planted point, is the shape that used to come back falsely
-        // `Infeasible` from the full stack: eliminating one cluster
-        // constraint against another leaves a reduced constraint with
-        // ‖a‖ ≈ spread, and without renormalization the 1-D base case
-        // divided by that tiny coefficient and read the amplified rounding
-        // error as an empty interval. The planted point is feasible by
-        // construction, so `Infeasible` is always wrong here.
-        use rand::Rng;
-        let mut r = rng();
-        for trial in 0..25 {
-            let d = 2 + (trial % 2);
-            let mut c: Vec<f64> = (0..d).map(|_| r.random_range(-1.0..1.0)).collect();
-            let cn = llp_num::linalg::norm(&c);
-            if cn < 1e-6 {
-                continue;
-            }
-            c.iter_mut().for_each(|v| *v /= cn);
-            let x_star: Vec<f64> = c.iter().map(|v| -v).collect();
-            let mut cs = Vec::with_capacity(64 + 2 * d);
-            for _ in 0..64 {
-                let g: Vec<f64> = (0..d).map(|_| r.random_range(-1.0..1.0)).collect();
-                let raw: Vec<f64> = (0..d).map(|j| -c[j] + 1e-3 * g[j]).collect();
-                let nn = llp_num::linalg::norm(&raw);
-                let a: Vec<f64> = raw.into_iter().map(|v| v / nn).collect();
-                let b = dot(&a, &x_star) + r.random_range(0.0..1e-9);
-                cs.push(Halfspace::new(a, b));
-            }
-            for j in 0..d {
-                let mut hi = vec![0.0; d];
-                hi[j] = 1.0;
-                let mut lo = vec![0.0; d];
-                lo[j] = -1.0;
-                cs.push(Halfspace::new(hi, 2.0));
-                cs.push(Halfspace::new(lo, 2.0));
-            }
-            let res = solve(&cs, &c, &SeidelConfig::default(), &mut r);
-            assert!(
-                !matches!(res, LpResult::Infeasible),
-                "trial {trial}: planted point is feasible, got Infeasible"
-            );
-        }
-    }
-
-    #[test]
-    fn feasible_point_satisfies_all_constraints() {
-        use rand::Rng;
-        let mut r = rng();
-        for trial in 0..30 {
-            let d = 2 + (trial % 3);
-            // Random halfspaces tangent to the unit sphere: a·x ≤ 1 with
-            // ‖a‖ = 1 keeps the origin feasible and the region bounded once
-            // enough directions accumulate.
-            let m = 50;
-            let mut cs = Vec::with_capacity(m);
-            for _ in 0..m {
-                let mut a: Vec<f64> = (0..d).map(|_| r.random_range(-1.0..1.0)).collect();
-                let n = llp_num::linalg::norm(&a);
-                if n < 1e-6 {
-                    continue;
-                }
-                a.iter_mut().for_each(|v| *v /= n);
-                cs.push(Halfspace::new(a, 1.0));
-            }
-            let c: Vec<f64> = (0..d).map(|_| r.random_range(-1.0..1.0)).collect();
-            match solve(&cs, &c, &SeidelConfig::default(), &mut r) {
-                LpResult::Optimal(x) => {
-                    for h in &cs {
-                        assert!(h.contains_eps(&x, 1e-6), "violated {h:?} at {x:?}");
-                    }
-                    // Optimal value must beat the origin (feasible).
-                    assert!(dot(&c, &x) <= 1e-9);
-                }
-                LpResult::Unbounded => {} // possible if directions don't surround
-                LpResult::Infeasible => panic!("origin is feasible"),
-            }
+    proptest! {
+        /// Eliminating a variable and lifting preserves constraint slack:
+        /// for any point y of the reduced space, the reduced slack equals
+        /// the original slack at the lifted point.
+        #[test]
+        fn prop_elimination_preserves_slack(
+            pa in proptest::collection::vec(-5.0f64..5.0, 3),
+            pb in -5.0f64..5.0,
+            oa in proptest::collection::vec(-5.0f64..5.0, 3),
+            ob in -5.0f64..5.0,
+            y in proptest::collection::vec(-5.0f64..5.0, 2),
+            var in 0usize..3,
+        ) {
+            prop_assume!(pa[var].abs() > 0.1);
+            let plane = [pa[0], pa[1], pa[2], pb];
+            let other = [oa[0], oa[1], oa[2], ob];
+            let mut reduced = [0.0; 3];
+            eliminate_row(&plane, &other, var, &mut reduced);
+            let mut x = [0.0; 3];
+            lift_row(&plane, &y, var, &mut x);
+            // The lifted point is on the plane.
+            prop_assert!(llp_num::float::approx_eq(dot(&plane[..3], &x), pb, 1e-7));
+            prop_assert!((row_slack(&reduced, &y) - row_slack(&other, &x)).abs() < 1e-6);
         }
     }
 }

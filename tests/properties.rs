@@ -200,6 +200,68 @@ proptest! {
     }
 }
 
+/// `draw_sorted(count)` against its scalar oracle: `count` calls of
+/// `draw`, then sort and dedup. The index set and the RNG state after the
+/// call must both match exactly.
+fn draw_sorted_matches_oracle(index: &WeightIndex, count: usize, seed: u64) {
+    use rand::RngCore;
+    let mut r1 = StdRng::seed_from_u64(seed);
+    let mut want: Vec<usize> = (0..count).map(|_| index.draw(&mut r1)).collect();
+    want.sort_unstable();
+    want.dedup();
+    let mut r2 = StdRng::seed_from_u64(seed);
+    let (mut targets, mut got) = (Vec::new(), vec![usize::MAX; 3]);
+    index.draw_sorted(count, &mut r2, &mut targets, &mut got);
+    assert_eq!(got, want, "count {count}, seed {seed}");
+    assert_eq!(r1.next_u64(), r2.next_u64(), "RNG state, count {count}");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The batched draw equals the scalar draws on indices of any
+    /// (mostly non-power-of-two) size, with zero-weight plateaus
+    /// (`kinds` 0), mixed weights, and a few elements reweighted by up to
+    /// 1e6 many times over; for `count` 0, 1 and a random count.
+    #[test]
+    fn prop_draw_sorted_matches_scalar_draws(
+        kinds in collection::vec(0u32..4, 1..300),
+        weights in collection::vec(0.01f64..100.0, 300),
+        boost_at in collection::vec(0usize..4096, 0..40),
+        boosts in collection::vec(1.0f64..1e6, 40),
+        count in 2usize..400,
+        seed in 0u64..1_000_000,
+    ) {
+        let n = kinds.len();
+        let mut ws: Vec<ScaledF64> = kinds
+            .iter()
+            .zip(&weights)
+            .map(|(&k, &w)| if k == 0 { ScaledF64::ZERO } else { ScaledF64::from_f64(w) })
+            .collect();
+        if ws.iter().all(|w| w.is_zero()) {
+            ws[n / 2] = ScaledF64::ONE;
+        }
+        let mut index = WeightIndex::from_weights(&ws);
+        for (&i, &f) in boost_at.iter().zip(&boosts) {
+            for _ in 0..8 {
+                index.multiply(i % n, f);
+            }
+        }
+        for c in [0, 1, count] {
+            draw_sorted_matches_oracle(&index, c, seed);
+        }
+    }
+}
+
+#[test]
+fn draw_sorted_on_an_all_zero_index_draws_nothing_for_count_zero() {
+    let index = WeightIndex::from_weights(&[ScaledF64::ZERO; 5]);
+    let mut rng = StdRng::seed_from_u64(5);
+    let (mut targets, mut out) = (Vec::new(), vec![7]);
+    index.draw_sorted(0, &mut rng, &mut targets, &mut out);
+    assert!(out.is_empty());
+}
+
 // --------------------------------------------------------------------
 // ScaledF64 against an exact Rat reference.
 //
