@@ -29,7 +29,8 @@
 //! guards, the `panic-path` lint) and `purity` (the `fp-kernel-purity`
 //! lint over `policy::KERNEL_FILES`).
 
-use crate::lexer::{matches_seq, Lexed, Tok, TokKind};
+use crate::lexer::{Lexed, Tok, TokKind};
+use crate::lints::{classify, Impurity};
 use crate::policy::ENV_OWNER;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -737,44 +738,24 @@ fn scan_def(
             continue;
         }
         let name = t.text.as_str();
-        // Impurity facts (same token shapes as the per-file lints).
-        match name {
-            "Instant" | "SystemTime" if matches_seq(toks, i + 1, &["::", "now"]) => {
-                facts.impure.entry("wall-clock").or_insert(Source::Direct {
-                    what: format!("{name}::now()"),
-                    line: t.line,
-                });
-            }
-            "env"
-                if !env_exempt
-                    && (matches_seq(toks, i + 1, &["::", "var"])
-                        || matches_seq(toks, i + 1, &["::", "var_os"])
-                        || matches_seq(toks, i + 1, &["::", "vars"])) =>
-            {
-                facts.impure.entry("env-read").or_insert(Source::Direct {
-                    what: "env read".to_string(),
-                    line: t.line,
-                });
-            }
-            "ThreadRng" | "thread_rng" | "from_entropy" | "from_os_rng" | "OsRng" => {
-                facts
-                    .impure
-                    .entry("unseeded-rng")
-                    .or_insert(Source::Direct {
-                        what: format!("`{name}`"),
-                        line: t.line,
-                    });
-            }
-            "HashMap" | "HashSet" => {
-                facts
-                    .impure
-                    .entry("hash-collection")
-                    .or_insert(Source::Direct {
-                        what: format!("`{name}` (process-seeded iteration order)"),
-                        line: t.line,
-                    });
-            }
-            _ => {}
+        // Impurity facts: the per-file lints' classifier; only the
+        // env owner is exempt here, and hashed collections count in every
+        // crate.
+        let fact = match classify(toks, i) {
+            Some(Impurity::WallClock) => Some(("wall-clock", format!("{name}::now()"))),
+            Some(Impurity::EnvRead) if !env_exempt => Some(("env-read", "env read".to_string())),
+            Some(Impurity::UnseededRng) => Some(("unseeded-rng", format!("`{name}`"))),
+            Some(Impurity::HashCollection) => Some((
+                "hash-collection",
+                format!("`{name}` (process-seeded iteration order)"),
+            )),
+            Some(Impurity::EnvRead) | None => None,
+        };
+        if let Some((kind, what)) = fact {
+            facts
+                .impure
+                .entry(kind)
+                .or_insert(Source::Direct { what, line: t.line });
         }
         // Panic macros.
         if matches!(name, "panic" | "unreachable" | "todo" | "unimplemented")

@@ -26,6 +26,47 @@ pub const LINT_NAMES: &[&str] = &[
     "malformed-allow",
 ];
 
+/// The impurities recognised by token shape — one classifier shared by
+/// the per-file lints below and the call-graph fact harvest, each of
+/// which applies its own class and exemption policy to the result.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Impurity {
+    /// `Instant::now()` / `SystemTime::now()` — the clock reads, not
+    /// the type imports.
+    WallClock,
+    /// `env::var` / `var_os` / `vars`.
+    EnvRead,
+    /// RNG construction that does not flow from an explicit seed: the
+    /// workspace's own `rand` only offers these by name, so naming one is
+    /// constructing one.
+    UnseededRng,
+    /// `HashMap` / `HashSet`, in any position.
+    HashCollection,
+}
+
+/// Classifies the token at `i`: identifiers in one of the impurity
+/// shapes, never strings or comments.
+pub fn classify(toks: &[Tok], i: usize) -> Option<Impurity> {
+    let t = toks.get(i).filter(|t| t.kind == TokKind::Ident)?;
+    match t.text.as_str() {
+        "Instant" | "SystemTime" if matches_seq(toks, i + 1, &["::", "now"]) => {
+            Some(Impurity::WallClock)
+        }
+        "env"
+            if ["var", "var_os", "vars"]
+                .iter()
+                .any(|v| matches_seq(toks, i + 1, &["::", v])) =>
+        {
+            Some(Impurity::EnvRead)
+        }
+        "ThreadRng" | "thread_rng" | "from_entropy" | "from_os_rng" | "OsRng" => {
+            Some(Impurity::UnseededRng)
+        }
+        "HashMap" | "HashSet" => Some(Impurity::HashCollection),
+        _ => None,
+    }
+}
+
 /// Runs every token-level lint applicable to `class` over one file.
 pub fn scan_file(path: &str, lexed: &Lexed, class: Class, crate_key: &str) -> Vec<Finding> {
     let mut out = Vec::new();
@@ -34,90 +75,57 @@ pub fn scan_file(path: &str, lexed: &Lexed, class: Class, crate_key: &str) -> Ve
     }
     let toks = &lexed.toks;
     for i in 0..toks.len() {
-        let t = &toks[i];
-        if t.kind != TokKind::Ident {
+        let Some(kind) = classify(toks, i) else {
             continue;
-        }
-        match t.text.as_str() {
-            // ---- nondeterministic-collections -------------------------
+        };
+        let t = &toks[i];
+        let (lint, message) = match kind {
             // Any mention (import, type position, constructor) counts:
             // iteration order of std's hashed containers is seeded per
             // process, so even a "read-only" use is one refactor away
             // from an order-dependent output.
-            "HashMap" | "HashSet" if class == Class::Deterministic => {
-                out.push(Finding::new(
-                    "nondeterministic-collections",
-                    Severity::Deny,
-                    path,
-                    t.line,
-                    format!(
-                        "`{}` in a deterministic crate: iteration order is \
-                         process-seeded; use BTreeMap/BTreeSet or a Vec keyed \
-                         by index",
-                        t.text
-                    ),
-                ));
-            }
-            // ---- wall-clock -------------------------------------------
-            // `Instant::now()` / `SystemTime::now()` — the actual clock
-            // reads, not the type imports. Applies to Timing crates too:
-            // metering sites are legitimate there but must each carry a
-            // reasoned allow, so a new clock dependency is a diff the
-            // gate sees.
-            "Instant" | "SystemTime" if matches_seq(toks, i + 1, &["::", "now"]) => {
-                out.push(Finding::new(
-                    "wall-clock",
-                    Severity::Deny,
-                    path,
-                    t.line,
-                    format!(
-                        "`{}::now()` reads the wall clock; solver results and \
-                         meters must be time-independent (annotate metering \
-                         sites with a reasoned allow)",
-                        t.text
-                    ),
-                ));
-            }
-            // ---- env-read ---------------------------------------------
-            // `env::var` / `var_os` / `vars` anywhere but the documented
-            // precedence owner (vendor/llp_par): ambient configuration is
-            // a hidden input that breaks replay determinism.
-            "env"
-                if crate_key != ENV_OWNER
-                    && (matches_seq(toks, i + 1, &["::", "var"])
-                        || matches_seq(toks, i + 1, &["::", "var_os"])
-                        || matches_seq(toks, i + 1, &["::", "vars"])) =>
-            {
-                out.push(Finding::new(
-                    "env-read",
-                    Severity::Deny,
-                    path,
-                    t.line,
-                    "environment read outside vendor/llp_par: LLP_THREADS \
-                     precedence (and env input generally) is owned by llp_par"
-                        .to_string(),
-                ));
-            }
-            // ---- unseeded-rng -----------------------------------------
-            // RNG construction that does not flow from an explicit seed
-            // argument. The workspace's own `rand` only offers these by
-            // name, so naming one is constructing one.
-            "ThreadRng" | "thread_rng" | "from_entropy" | "from_os_rng" | "OsRng" => {
-                out.push(Finding::new(
-                    "unseeded-rng",
-                    Severity::Deny,
-                    path,
-                    t.line,
-                    format!(
-                        "`{}` constructs an entropy-seeded RNG; all randomness \
-                         must derive from an explicit seed argument \
-                         (StdRng::seed_from_u64 / from_seed)",
-                        t.text
-                    ),
-                ));
-            }
-            _ => {}
-        }
+            Impurity::HashCollection if class == Class::Deterministic => (
+                "nondeterministic-collections",
+                format!(
+                    "`{}` in a deterministic crate: iteration order is \
+                     process-seeded; use BTreeMap/BTreeSet or a Vec keyed \
+                     by index",
+                    t.text
+                ),
+            ),
+            // Applies to Timing crates too: metering sites are
+            // legitimate there but must each carry a reasoned allow, so a
+            // new clock dependency is a diff the gate sees.
+            Impurity::WallClock => (
+                "wall-clock",
+                format!(
+                    "`{}::now()` reads the wall clock; solver results and \
+                     meters must be time-independent (annotate metering \
+                     sites with a reasoned allow)",
+                    t.text
+                ),
+            ),
+            // Anywhere but the documented precedence owner
+            // (vendor/llp_par): ambient configuration is a hidden input
+            // that breaks replay determinism.
+            Impurity::EnvRead if crate_key != ENV_OWNER => (
+                "env-read",
+                "environment read outside vendor/llp_par: LLP_THREADS \
+                 precedence (and env input generally) is owned by llp_par"
+                    .to_string(),
+            ),
+            Impurity::UnseededRng => (
+                "unseeded-rng",
+                format!(
+                    "`{}` constructs an entropy-seeded RNG; all randomness \
+                     must derive from an explicit seed argument \
+                     (StdRng::seed_from_u64 / from_seed)",
+                    t.text
+                ),
+            ),
+            Impurity::HashCollection | Impurity::EnvRead => continue,
+        };
+        out.push(Finding::new(lint, Severity::Deny, path, t.line, message));
     }
     if KERNEL_FILES.contains(&path) {
         out.extend(scan_hot_loops(path, toks));
@@ -323,6 +331,25 @@ mod tests {
             "core"
         )
         .is_empty());
+    }
+
+    #[test]
+    fn classify_names_each_shape_and_nothing_else() {
+        let src = "Instant::now(); Instant::from(x); std::env::var(k); env::vars(); \
+                   OsRng; HashSet::new(); SystemTime::now(); \"HashMap\"; env::args()";
+        let toks = lex(src).toks;
+        let kinds: Vec<Impurity> = (0..toks.len()).filter_map(|i| classify(&toks, i)).collect();
+        assert_eq!(
+            kinds,
+            vec![
+                Impurity::WallClock,
+                Impurity::EnvRead,
+                Impurity::EnvRead,
+                Impurity::UnseededRng,
+                Impurity::HashCollection,
+                Impurity::WallClock,
+            ]
+        );
     }
 
     #[test]

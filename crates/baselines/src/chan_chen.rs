@@ -56,7 +56,7 @@ pub fn minimize_envelope(lines: &[Line], x_lo: f64, x_hi: f64, r: u32) -> ChanCh
     let n = lines.len();
     let t = ((n as f64).powf(1.0 / f64::from(r)).ceil() as usize).clamp(2, n.max(2));
     let mut session = StreamSession::new(lines);
-    session.space.alloc_raw(64 * (t as u64 + 1), t as u64 + 1);
+    session.space.alloc(64 * (t as u64 + 1), t as u64 + 1);
 
     let mut lo = x_lo;
     let mut hi = x_hi;

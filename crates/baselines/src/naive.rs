@@ -6,7 +6,7 @@
 //!   `n·bit(S)` communication.
 
 use llp_core::lptype::{LpTypeProblem, SolveError};
-use llp_models::coordinator::CoordSim;
+use llp_models::coordinator::CoordMeter;
 use llp_models::streaming::StreamSession;
 use rand::Rng;
 
@@ -20,7 +20,7 @@ pub fn streaming_store_all<P: LpTypeProblem, R: Rng>(
     let mut session = StreamSession::new(data);
     let mut stored: Vec<P::Constraint> = Vec::with_capacity(data.len());
     for c in session.pass() {
-        session.space.alloc_raw(problem.constraint_bits(), 1);
+        session.space.alloc(problem.constraint_bits(), 1);
         stored.push(c.clone());
     }
     let sol = problem.solve_subset(&stored, rng)?;
@@ -35,25 +35,18 @@ pub fn coordinator_ship_all<P: LpTypeProblem, R: Rng>(
     k: usize,
     rng: &mut R,
 ) -> Result<(P::Solution, u64, u64), SolveError> {
+    assert!(k >= 1, "need at least one site");
+    let mut meter = CoordMeter::default();
+    meter.begin_round();
     // Site `i` holds the round-robin share `data[i], data[i + k], …`.
-    let mut sim = CoordSim::new(k);
-    sim.begin_round();
     let mut all: Vec<P::Constraint> = Vec::with_capacity(data.len());
     for i in 0..k {
         let site = data.iter().skip(i).step_by(k);
-        sim.charge_up(&Raw(site.len() as u64 * problem.constraint_bits()));
+        meter.charge_up(site.len() as u64 * problem.constraint_bits());
         all.extend(site.cloned());
     }
     let sol = problem.solve_subset(&all, rng)?;
-    Ok((sol, sim.meter.rounds(), sim.meter.total_bits()))
-}
-
-struct Raw(u64);
-
-impl llp_models::cost::BitCost for Raw {
-    fn bits(&self) -> u64 {
-        self.0
-    }
+    Ok((sol, meter.rounds(), meter.total_bits()))
 }
 
 #[cfg(test)]

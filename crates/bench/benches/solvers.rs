@@ -119,11 +119,12 @@ fn bench_parallel_scan(c: &mut Criterion) {
 }
 
 /// The weight-bookkeeping hot path of Algorithm 1: the incremental
-/// `WeightIndex` (O(|V| log n) updates + O(m log n) draws per iteration)
-/// against the full O(n) prefix rebuild it replaced. Shares its violator
-/// schedule with the T14 experiment (`llp_bench::weight_update_fixture`)
-/// so the two measurement paths cannot drift apart; the final totals of
-/// the two strategies are asserted to agree before timing starts.
+/// `WeightIndex` (O(|V| log n) updates + `m` batched `draw_sorted` draws
+/// per iteration) against the full O(n) prefix rebuild it replaced.
+/// Shares its violator schedule with the T14 experiment
+/// (`llp_bench::weight_update_fixture`) so the two measurement paths
+/// cannot drift apart; the final totals of the two strategies are
+/// asserted to agree before timing starts.
 fn bench_weight_index(c: &mut Criterion) {
     let mut group = c.benchmark_group("weight_index");
     group.sample_size(10);

@@ -178,9 +178,10 @@ pub fn weight_update_fixture(n: usize, iters: usize, violators: usize) -> Vec<Ve
 /// The incremental weight path: a standing [`WeightIndex`] (built by the
 /// caller, *outside* any timed region — the solver pays construction once
 /// per run, so it must not pollute the per-iteration measurement),
-/// `O(|V| log n)` updates + `m` O(log n) inversion draws per iteration.
-/// Returns the final `log2` total and a draw checksum so the work is
-/// observable.
+/// `O(|V| log n)` updates + `m` inversion draws per iteration, resolved
+/// by one shared descent ([`WeightIndex::draw_sorted`] with reused
+/// buffers — the draw path the solvers run). Returns the final `log2`
+/// total and a checksum of the drawn set so the work is observable.
 pub fn run_weight_index_incremental(
     index: &mut WeightIndex,
     factor: f64,
@@ -189,13 +190,14 @@ pub fn run_weight_index_incremental(
 ) -> (f64, usize) {
     let mut rng = StdRng::seed_from_u64(14_601);
     let mut sink = 0usize;
+    let mut targets = Vec::with_capacity(m);
+    let mut picked = Vec::with_capacity(m);
     for vs in rounds {
         for &i in vs {
             index.multiply(i, factor);
         }
-        for _ in 0..m {
-            sink ^= index.draw(&mut rng);
-        }
+        index.draw_sorted(m, &mut rng, &mut targets, &mut picked);
+        sink = picked.iter().fold(sink, |acc, &i| acc ^ i);
     }
     (index.total().log2(), sink)
 }
@@ -1047,7 +1049,8 @@ pub fn t13p_parallel_scan(budget: RunBudget) -> Table {
 }
 
 /// T14 — the weight-bookkeeping hot path: one standing `WeightIndex`
-/// (O(|V| log n) updates + O(m log n) draws per iteration) vs the full
+/// (O(|V| log n) updates + `m` batched `draw_sorted` draws per
+/// iteration, the path the solvers run) vs the full
 /// O(n) prefix rebuild it replaced in `clarkson::solve`. The `log2_match`
 /// column asserts the two paths agree on the final total weight.
 pub fn t14_weight_index(budget: RunBudget) -> Table {

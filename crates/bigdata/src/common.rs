@@ -19,10 +19,20 @@
 //! forbids materializing per-element weights. The holders' chunk-parallel
 //! scans run on the `llp_par` pool with fixed chunk boundaries and
 //! ordered merges: results are bit-identical for any `LLP_THREADS`, and
-//! the metered communication is untouched because the simulators charge
+//! the metered communication is untouched because the meters are charged
 //! outside these scans.
+//!
+//! The coordinator and MPC models run one protocol — Lemma 3.7's, with
+//! MPC's machine 0 as the coordinator — so they share one loop, `drive`,
+//! over their holders. What differs is only the message pattern behind
+//! the `Topology` trait: the coordinator's star (three rounds per
+//! iteration, sums in site order) and MPC's `⌈n^δ⌉`-ary tree
+//! (broadcasts, converge-casts and a hierarchical split of the draws).
 
+use crate::BigDataError;
+use llp_core::clarkson::FailurePolicy;
 use llp_core::lptype::{ColumnarProblem, LpTypeProblem};
+use llp_core::{ClarksonConfig, RunParams};
 use llp_geom::ConstraintColumns;
 use llp_num::ScaledF64;
 use llp_sampling::weight_index::WeightIndex;
@@ -48,21 +58,6 @@ impl<P: LpTypeProblem> WeightOracle<P> {
         }
     }
 
-    /// The weight factor.
-    pub fn factor(&self) -> f64 {
-        self.factor
-    }
-
-    /// Number of stored bases (`ℓ` in Lemma 3.7).
-    pub fn len(&self) -> usize {
-        self.bases.len()
-    }
-
-    /// True iff no basis has been accepted yet.
-    pub fn is_empty(&self) -> bool {
-        self.bases.is_empty()
-    }
-
     /// Records an accepted basis.
     pub fn push(&mut self, basis: P::Solution) {
         self.bases.push(basis);
@@ -76,11 +71,6 @@ impl<P: LpTypeProblem> WeightOracle<P> {
     /// The weight `F^{a(c)}` of a constraint.
     pub fn weight(&self, problem: &P, c: &P::Constraint) -> ScaledF64 {
         ScaledF64::powi(self.factor, self.exponent(problem, c))
-    }
-
-    /// Bits this history occupies (the `Õ(ν²)·bit(S)` term of Theorem 1).
-    pub fn bits(&self, problem: &P) -> u64 {
-        problem.solution_bits() * self.bases.len() as u64
     }
 }
 
@@ -169,12 +159,12 @@ impl SiteWeights {
     /// every staged violator's weight ×`F` (`O(|V| log n)`); rejected ⇒
     /// weights unchanged. Either way the staged list is consumed.
     pub fn resolve(&mut self, accepted: bool) {
-        let staged = std::mem::take(&mut self.staged);
         if accepted {
-            for i in staged {
+            for &i in &self.staged {
                 self.index.multiply(i, self.factor);
             }
         }
+        self.staged.clear();
     }
 
     /// Draws `count` i.i.d. local rows proportional to weight — one
@@ -249,42 +239,146 @@ pub fn column_blocks<P: ColumnarProblem>(
         .collect()
 }
 
-/// Shared per-run parameters derived from the paper's formulas.
-#[derive(Clone, Copy, Debug)]
-pub struct RunParams {
-    /// Weight factor `F`.
-    pub factor: f64,
-    /// `ε = 1/(10νF)`.
-    pub eps: f64,
-    /// ε-net size `m` (clamped to `n`).
-    pub net_size: usize,
-    /// Iteration cap.
-    pub max_iterations: usize,
+/// The message pattern one distributed model runs Algorithm 1 over:
+/// who talks to whom, in how many rounds, at what metered cost. [`drive`]
+/// owns the algorithm; a topology only routes and meters its messages
+/// and sums, in its own fixed order, what travels toward the coordinator.
+/// Each method opens the rounds it needs.
+pub(crate) trait Topology {
+    /// Delivers the pending accept/reject verdict to every holder when
+    /// `verdict` is set, then gathers the holders' total weights at the
+    /// coordinator and returns `w(S)`. Keeps what the next split needs.
+    fn gather_totals(&mut self, holders: &[SiteWeights], verdict: bool) -> ScaledF64;
+
+    /// Tells every holder how many rows to ship to the coordinator:
+    /// `Some(m)` splits `m` draws multinomially by the gathered weights
+    /// (Lemma 3.7) into `counts`; `None` asks each holder for all of its
+    /// rows. Leaves open the round in which the rows travel.
+    fn split_draws<R: Rng>(&mut self, draws: Option<u64>, rng: &mut R, counts: &mut Vec<u64>);
+
+    /// Meters holder `i` shipping `bits` bits of rows to the coordinator.
+    fn ship_rows(&mut self, i: usize, bits: u64);
+
+    /// Broadcasts the new basis, `bits` bits, to every holder.
+    fn broadcast_basis(&mut self, bits: u64);
+
+    /// Gathers the holders' violator weights `w(V_i)` and counts at the
+    /// coordinator and returns `w(V)`.
+    fn gather_violators(&mut self, local: &[ScaledF64]) -> ScaledF64;
 }
 
-impl RunParams {
-    /// Derives the parameters of Algorithm 1 for a problem with `n`
-    /// constraints from a [`ClarksonConfig`](llp_core::ClarksonConfig).
-    pub fn derive<P: LpTypeProblem>(problem: &P, n: usize, cfg: &llp_core::ClarksonConfig) -> Self {
-        let nu = problem.combinatorial_dim();
-        let lambda = problem.vc_dim();
-        let factor = cfg.factor.value(n);
-        let eps = 1.0 / (10.0 * nu as f64 * factor);
-        let net_size = cfg.net_size(n, nu, lambda);
-        RunParams {
-            factor,
-            eps,
-            net_size,
-            max_iterations: cfg.max_iterations,
+/// Iteration counters of one [`drive`] run.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Progress {
+    /// Iterations of Algorithm 1.
+    pub iterations: usize,
+    /// Successful iterations.
+    pub successful_iterations: usize,
+    /// ε-net size `m`.
+    pub net_size: usize,
+}
+
+/// Runs Algorithm 1 over holders that keep the given partitions, with
+/// every message routed and metered by `topology`: the distributed
+/// protocol of Lemma 3.7 that the coordinator (a star) and MPC (an
+/// `⌈n^δ⌉`-ary tree) models share. Per iteration: verdict and totals,
+/// the split of the `m` draws (or a take-all net when `m ≥ n`), the rows
+/// to the coordinator, the basis of the net, the basis back down, and the
+/// violator weights up for the success test.
+///
+/// # Panics
+/// Panics if the partitions hold no rows overall.
+pub(crate) fn drive<P: ColumnarProblem, T: Topology, R: Rng>(
+    problem: &P,
+    partitions: Vec<ConstraintColumns>,
+    cfg: &ClarksonConfig,
+    topology: &mut T,
+    rng: &mut R,
+) -> Result<(P::Solution, Progress), BigDataError> {
+    let n: usize = partitions.iter().map(ConstraintColumns::len).sum();
+    assert!(n > 0, "empty input");
+    let params = RunParams::derive(problem, n, cfg);
+    // Persistent per-holder weight state, updated incrementally from the
+    // violator lists each holder scans anyway: the broadcast verdicts
+    // keep every index in sync, and no round recomputes a weight.
+    let mut holders: Vec<SiteWeights> = partitions
+        .into_iter()
+        .map(|cols| SiteWeights::new(cols, params.factor))
+        .collect();
+    // When the ε-net formula covers the whole input, every holder ships
+    // its partition (a trivially valid net).
+    let draws = (params.net_size < n).then_some(params.net_size as u64);
+    let row_bits = problem.constraint_bits();
+    let mut progress = Progress {
+        iterations: 0,
+        successful_iterations: 0,
+        net_size: params.net_size,
+    };
+    // The accept/reject verdict the holders have not heard yet.
+    let mut pending: Option<bool> = None;
+    let mut counts: Vec<u64> = Vec::with_capacity(holders.len());
+    let mut net: Vec<P::Constraint> = Vec::with_capacity(params.net_size.min(n));
+    let mut violator_weights: Vec<ScaledF64> = Vec::with_capacity(holders.len());
+
+    while progress.iterations < params.max_iterations {
+        progress.iterations += 1;
+
+        if let Some(accepted) = pending {
+            for holder in holders.iter_mut() {
+                holder.resolve(accepted);
+            }
+        }
+        let total = topology.gather_totals(&holders, pending.take().is_some());
+
+        // The net: each holder inverts its draws directly against its
+        // index, in holder order.
+        topology.split_draws(draws, rng, &mut counts);
+        net.clear();
+        for (i, holder) in holders.iter_mut().enumerate() {
+            let rows = match draws {
+                Some(_) => holder.sample_rows(problem, counts[i] as usize, rng, &mut net),
+                None => holder.all_rows(problem, &mut net),
+            };
+            topology.ship_rows(i, rows as u64 * row_bits);
+        }
+
+        // The coordinator computes the basis locally.
+        let solution = problem
+            .solve_subset(&net, rng)
+            .map_err(BigDataError::from)?;
+        topology.broadcast_basis(problem.solution_bits());
+
+        // Each holder's fused violation-test + weight scan; the violator
+        // indices stay staged locally for the next verdict and never
+        // travel.
+        violator_weights.clear();
+        let mut violator_count = 0usize;
+        for holder in holders.iter_mut() {
+            let (w, count) = holder.scan_and_stage(problem, &solution);
+            violator_weights.push(w);
+            violator_count += count;
+        }
+        let w_violators = topology.gather_violators(&violator_weights);
+
+        if w_violators.ratio(total) <= params.eps {
+            if violator_count == 0 {
+                return Ok((solution, progress));
+            }
+            progress.successful_iterations += 1;
+            pending = Some(true);
+        } else if cfg.failure_policy == FailurePolicy::Abort {
+            return Err(BigDataError::NetFailure);
+        } else {
+            pending = Some(false);
         }
     }
+    Err(BigDataError::IterationLimit)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use llp_core::instances::lp::LpProblem;
-    use llp_core::ClarksonConfig;
     use llp_geom::Halfspace;
 
     #[test]
@@ -299,16 +393,6 @@ mod tests {
         assert_eq!(oracle.exponent(&p, &c), 1);
         let w = oracle.weight(&p, &c);
         assert!((w.to_f64() - 10.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn run_params_match_formulas() {
-        let p = LpProblem::new(vec![1.0, 1.0]);
-        let cfg = ClarksonConfig::paper(2);
-        let params = RunParams::derive(&p, 10_000, &cfg);
-        assert!((params.factor - 100.0).abs() < 1e-9);
-        assert!((params.eps - 1.0 / 3000.0).abs() < 1e-12);
-        assert!(params.net_size <= 10_000);
     }
 
     #[test]
@@ -373,15 +457,5 @@ mod tests {
         let mut all = Vec::new();
         assert_eq!(site.all_rows(&p, &mut all), cs.len());
         assert_eq!(all, cs);
-    }
-
-    #[test]
-    fn history_bits_scale_with_length() {
-        let p = LpProblem::new(vec![1.0, 1.0, 1.0]);
-        let mut oracle: WeightOracle<LpProblem> = WeightOracle::new(2.0);
-        assert_eq!(oracle.bits(&p), 0);
-        oracle.push(vec![0.0; 3]);
-        oracle.push(vec![1.0; 3]);
-        assert_eq!(oracle.bits(&p), 2 * 64 * 4);
     }
 }

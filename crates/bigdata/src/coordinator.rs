@@ -8,10 +8,12 @@
 //! just the violators of each *accepted* basis (`O(|V_i| log n_i)` per
 //! accepted round instead of an `O(n_i · t · d)` rebuild). Weights are
 //! derived state and never travel, so the metered protocol is unchanged.
+//! The iteration loop is the one MPC shares (`common::drive`); this
+//! module adds the star topology that routes and meters its messages.
 //! One iteration of Algorithm 1 costs three model rounds:
 //!
 //! 1. coordinator → sites: accept/reject verdict of the previous basis
-//!    (1 bit); sites → coordinator: local total weights `w(S_i)`.
+//!    (1 byte); sites → coordinator: local total weights `w(S_i)`.
 //! 2. coordinator → sites: multinomially split sample counts `y_i`
 //!    (Lemma 3.7); sites → coordinator: `y_i` locally drawn constraints.
 //! 3. coordinator → sites: the new basis `f(B)`; sites → coordinator:
@@ -19,12 +21,12 @@
 //!
 //! Total: `O(νr)` rounds and `Õ((λn^{1/r}ν + k)·ν)·bit(S)` communication.
 
-use crate::common::{RunParams, SiteWeights};
+use crate::common::{drive, SiteWeights, Topology};
 use crate::BigDataError;
 use llp_core::lptype::ColumnarProblem;
 use llp_core::ClarksonConfig;
 use llp_geom::ConstraintColumns;
-use llp_models::coordinator::CoordSim;
+use llp_models::coordinator::CoordMeter;
 use llp_num::ScaledF64;
 use rand::Rng;
 
@@ -95,8 +97,8 @@ pub fn solve_partitioned<P: ColumnarProblem, R: Rng>(
 
 /// Runs Algorithm 1 with site `i` holding the rows of `sites[i]` — the
 /// entry point every other one funnels into. Each site keeps its rows
-/// exactly once, inside its [`SiteWeights`] holder; the simulator only
-/// meters the messages.
+/// exactly once, inside its [`SiteWeights`] holder; the star topology
+/// only meters the messages.
 ///
 /// # Panics
 /// Panics if `sites` is empty or holds no rows overall.
@@ -106,161 +108,98 @@ pub fn solve_columns<P: ColumnarProblem, R: Rng>(
     cfg: &ClarksonConfig,
     rng: &mut R,
 ) -> Result<(P::Solution, CoordinatorStats), BigDataError> {
-    let n: usize = sites.iter().map(ConstraintColumns::len).sum();
-    assert!(n > 0, "empty input");
     let k = sites.len();
-    let params = RunParams::derive(problem, n, cfg);
-    let mut sim = CoordSim::new(k);
-    // Persistent per-site holders: every site tracks its own partition's
-    // weights incrementally from the violator lists it scans anyway in
-    // round 3, so no round ever recomputes a weight.
-    let mut sites: Vec<SiteWeights> = sites
-        .into_iter()
-        .map(|cols| SiteWeights::new(cols, params.factor))
-        .collect();
-
-    let mut stats = CoordinatorStats {
-        net_size: params.net_size,
+    let mut star = Star {
+        k: k as u64,
+        meter: CoordMeter::default(),
+        shares: Vec::with_capacity(k),
+    };
+    let (solution, progress) = drive(problem, sites, cfg, &mut star, rng)?;
+    let meter = &star.meter;
+    let stats = CoordinatorStats {
+        rounds: meter.rounds(),
+        total_bits: meter.total_bits(),
+        bits_up: meter.bits_up(),
+        bits_down: meter.bits_down(),
+        iterations: progress.iterations,
+        successful_iterations: progress.successful_iterations,
+        net_size: progress.net_size,
         k,
-        ..CoordinatorStats::default()
+        max_round_bits: meter.max_round_bits(),
     };
-    // The accept/reject verdict the sites have not heard yet.
-    let mut pending: Option<bool> = None;
-
-    let result = loop {
-        if stats.iterations >= params.max_iterations {
-            break Err(BigDataError::IterationLimit);
-        }
-        stats.iterations += 1;
-
-        // ---- Round 1: verdict down, site weights up. ----
-        sim.begin_round();
-        if let Some(accepted) = pending.take() {
-            for site in &mut sites {
-                sim.charge_down(&0u8); // 1-byte verdict flag
-                site.resolve(accepted);
-            }
-        }
-        let mut site_weights: Vec<ScaledF64> = Vec::with_capacity(k);
-        let mut total_weight = ScaledF64::ZERO;
-        for site in &sites {
-            // O(1) off the standing index. A scaled weight travels as
-            // (mantissa, exponent) = 128 bits — the O(ℓ/r · log n)-bit
-            // weight encoding of Lemma 3.7.
-            let w = site.total();
-            sim.charge_up(&(0.0f64, 0u64));
-            site_weights.push(w);
-            total_weight += w;
-        }
-
-        // ---- Round 2: sample counts down, sampled constraints up. ----
-        sim.begin_round();
-        let mut net: Vec<P::Constraint> = Vec::with_capacity(params.net_size.min(n));
-        if params.net_size >= n {
-            // The ε-net formula covers the whole input: sites ship
-            // everything (a trivially valid net).
-            for site in &sites {
-                sim.charge_down(&0u64);
-                let shipped = site.all_rows(problem, &mut net);
-                sim.charge_up(&RawBits(shipped as u64 * problem.constraint_bits()));
-            }
-        } else {
-            let weights_f64: Vec<f64> =
-                site_weights.iter().map(|w| w.ratio(total_weight)).collect();
-            let counts =
-                llp_sampling::discrete::multinomial(params.net_size as u64, &weights_f64, rng);
-            for (site, &count) in sites.iter_mut().zip(&counts) {
-                sim.charge_down(&count);
-                if count == 0 {
-                    continue;
-                }
-                // The site inverts its draws directly against its index —
-                // O(log n_i) each, no prefix table.
-                let picked = site.sample_rows(problem, count as usize, rng, &mut net);
-                sim.charge_up(&RawBits(picked as u64 * problem.constraint_bits()));
-            }
-        }
-
-        // ---- Coordinator computes the basis locally. ----
-        let solution = problem
-            .solve_subset(&net, rng)
-            .map_err(BigDataError::from)?;
-
-        // ---- Round 3: basis down, violator weights up. ----
-        sim.begin_round();
-        let mut w_violators = ScaledF64::ZERO;
-        let mut violator_count = 0usize;
-        for site in &mut sites {
-            sim.charge_down(&RawBits(problem.solution_bits()));
-            // The site's fused violation-test + weight scan runs on the
-            // llp_par pool over its columns, reading weights off its
-            // index; the violator indices are staged locally for next
-            // round's verdict. The metered messages below are identical
-            // to the sequential protocol — the staged list never travels.
-            let (local_w, local_count) = site.scan_and_stage(problem, &solution);
-            sim.charge_up(&(0.0f64, 0u64)); // w(V_i): 128 bits
-            sim.charge_up(&0u64); // count: 64 bits
-            w_violators += local_w;
-            violator_count += local_count;
-        }
-
-        let success = w_violators.ratio(total_weight) <= params.eps;
-        if success {
-            if violator_count == 0 {
-                break Ok(solution);
-            }
-            stats.successful_iterations += 1;
-            pending = Some(true);
-        } else if cfg.failure_policy == llp_core::clarkson::FailurePolicy::Abort {
-            break Err(BigDataError::NetFailure);
-        } else {
-            pending = Some(false);
-        }
-    };
-
-    stats.rounds = sim.meter.rounds();
-    stats.total_bits = sim.meter.total_bits();
-    stats.bits_up = sim.meter.bits_up();
-    stats.bits_down = sim.meter.bits_down();
-    stats.max_round_bits = sim.meter.max_round_bits();
-    result.map(|s| (s, stats))
+    Ok((solution, stats))
 }
 
-/// Raw bit payload for metering odd-sized messages.
-struct RawBits(u64);
+/// The coordinator model's topology: a star, with the coordinator
+/// exchanging one message with each of the `k` sites per direction.
+struct Star {
+    k: u64,
+    meter: CoordMeter,
+    /// Each site's share `w(S_i)/w(S)` of the total weight, reused
+    /// across iterations.
+    shares: Vec<f64>,
+}
 
-impl llp_models::cost::BitCost for RawBits {
-    fn bits(&self) -> u64 {
-        self.0
+impl Topology for Star {
+    /// Round 1: the verdict down (1 byte per site), the sites' weights
+    /// up. A scaled weight travels as (mantissa, exponent) = 128 bits —
+    /// the `O(ℓ/r · log n)`-bit weight encoding of Lemma 3.7.
+    fn gather_totals(&mut self, sites: &[SiteWeights], verdict: bool) -> ScaledF64 {
+        self.meter.begin_round();
+        if verdict {
+            self.meter.charge_down(self.k * 8);
+        }
+        self.meter.charge_up(self.k * 128);
+        let mut total = ScaledF64::ZERO;
+        for site in sites {
+            total += site.total();
+        }
+        self.shares.clear();
+        self.shares
+            .extend(sites.iter().map(|site| site.total().ratio(total)));
+        total
+    }
+
+    /// Round 2: a 64-bit sample count down to every site (one
+    /// multinomial over the sites' weight shares); the rows come back up
+    /// in the same round.
+    fn split_draws<R: Rng>(&mut self, draws: Option<u64>, rng: &mut R, counts: &mut Vec<u64>) {
+        self.meter.begin_round();
+        self.meter.charge_down(self.k * 64);
+        if let Some(m) = draws {
+            *counts = llp_sampling::discrete::multinomial(m, &self.shares, rng);
+        }
+    }
+
+    fn ship_rows(&mut self, _site: usize, bits: u64) {
+        self.meter.charge_up(bits);
+    }
+
+    /// Round 3: the basis down; each site's `w(V_i)` (128 bits) and
+    /// violator count (64 bits) come back up in the same round.
+    fn broadcast_basis(&mut self, bits: u64) {
+        self.meter.begin_round();
+        self.meter.charge_down(self.k * bits);
+    }
+
+    fn gather_violators(&mut self, local: &[ScaledF64]) -> ScaledF64 {
+        self.meter.charge_up(self.k * (128 + 64));
+        let mut total = ScaledF64::ZERO;
+        for &w in local {
+            total += w;
+        }
+        total
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use llp_core::instances::lp::LpProblem;
     use llp_core::lptype::{count_violations, LpTypeProblem};
     use llp_geom::Halfspace;
-    use llp_num::linalg::norm;
+    use llp_workloads::lp::random_lp;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-
-    fn random_lp(n: usize, d: usize, seed: u64) -> (LpProblem, Vec<Halfspace>) {
-        let mut r = StdRng::seed_from_u64(seed);
-        use rand::Rng;
-        let mut cs = Vec::with_capacity(n);
-        while cs.len() < n {
-            let mut a: Vec<f64> = (0..d).map(|_| r.random_range(-1.0..1.0)).collect();
-            let nn = norm(&a);
-            if nn < 1e-6 {
-                continue;
-            }
-            a.iter_mut().for_each(|v| *v /= nn);
-            cs.push(Halfspace::new(a, 1.0));
-        }
-        let c: Vec<f64> = (0..d).map(|_| r.random_range(-1.0..1.0)).collect();
-        (LpProblem::new(c), cs)
-    }
 
     #[test]
     fn solves_with_three_rounds_per_iteration() {

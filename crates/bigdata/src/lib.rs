@@ -1,7 +1,7 @@
 //! Algorithm 1 in the three big data models (Theorems 1, 2, and 3).
 //!
-//! Each module implements the paper's meta-algorithm on top of the
-//! corresponding `llp-models` simulator, using the common machinery in
+//! Each module implements the paper's meta-algorithm against the
+//! corresponding `llp-models` meter, using the common machinery in
 //! [`common`]:
 //!
 //! * [`streaming`] — Theorem 1: `O(νr)` passes, `Õ(λn^{1/r}ν + ν²)·bit(S)`
@@ -14,8 +14,12 @@
 //!   splits the `m` draws multinomially, collects samples, and broadcasts
 //!   the new basis.
 //! * [`mpc`] — Theorem 3: `O(ν/δ²)` rounds, `Õ(λn^δν²)·bit(S)` load per
-//!   machine, simulating the coordinator protocol over the `n^δ`-ary
+//!   machine, running the coordinator protocol over the `n^δ`-ary
 //!   broadcast / converge-cast trees of \[23\].
+//!
+//! The coordinator and MPC models share one iteration loop
+//! (`common::drive`); each contributes only its topology — the star or
+//! the tree — which routes and meters the loop's messages.
 
 #![forbid(unsafe_code)]
 

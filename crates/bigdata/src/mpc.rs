@@ -17,71 +17,55 @@
 //!
 //! With `r = ⌈1/δ⌉` outer iterations parameter, the total is `O(ν/δ²)`
 //! rounds at `Õ(λ n^δ ν²)·bit(S)` load, matching Theorem 3.
+//!
+//! The iteration loop is the coordinator model's (`common::drive`); this
+//! module adds the tree topology that routes and meters its messages.
 
-use crate::common::{column_blocks, RunParams, SiteWeights};
+use crate::common::{column_blocks, drive, SiteWeights, Topology};
 use crate::BigDataError;
+use llp_core::clarkson::WeightFactor;
 use llp_core::lptype::ColumnarProblem;
 use llp_core::ClarksonConfig;
 use llp_geom::ConstraintColumns;
-use llp_models::mpc::MpcSim;
+use llp_models::mpc::MpcMeter;
 use llp_num::ScaledF64;
 use rand::Rng;
 
-/// Configuration of the MPC run.
+/// Configuration of the MPC run: the load exponent δ, plus the net-size
+/// constants of the [`ClarksonConfig`] preset it was built from.
 #[derive(Clone, Copy, Debug)]
 pub struct MpcConfig {
     /// Load exponent δ ∈ (0, 1): load `Õ(n^δ)`, machines `⌈n^{1-δ}⌉`.
     pub delta: f64,
-    /// ε-net failure budget per iteration.
-    pub net_delta: f64,
-    /// Scale on the Eq. (1) net-size constants.
-    pub net_multiplier: f64,
-    /// Floor on the net size as a multiple of `λ/ε` (see
-    /// `ClarksonConfig::net_floor_coeff`).
-    pub net_floor_coeff: f64,
-    /// Behaviour on failed iterations (Remark 3.6).
-    pub failure_policy: llp_core::clarkson::FailurePolicy,
-    /// Iteration cap.
-    pub max_iterations: usize,
+    /// The preset's net constants, failure policy and iteration cap; its
+    /// weight factor is always `n^{1/r}` with `r = ⌈1/δ⌉`.
+    clarkson: ClarksonConfig,
 }
 
 impl MpcConfig {
-    /// Calibrated configuration for a given δ.
+    /// Calibrated configuration for a given δ (see
+    /// `ClarksonConfig::calibrated`).
     pub fn calibrated(delta: f64) -> Self {
-        assert!(delta > 0.0 && delta < 1.0, "delta must be in (0,1)");
-        MpcConfig {
-            delta,
-            net_delta: 1.0 / 3.0,
-            net_multiplier: 1.0 / 16.0,
-            net_floor_coeff: 0.0,
-            failure_policy: llp_core::clarkson::FailurePolicy::Retry,
-            max_iterations: 10_000,
-        }
+        Self::from_preset(delta, ClarksonConfig::calibrated)
     }
 
     /// The lean configuration (see `ClarksonConfig::lean`).
     pub fn lean(delta: f64) -> Self {
+        Self::from_preset(delta, ClarksonConfig::lean)
+    }
+
+    fn from_preset(delta: f64, preset: fn(u32) -> ClarksonConfig) -> Self {
+        assert!(delta > 0.0 && delta < 1.0, "delta must be in (0,1)");
+        let r = (1.0 / delta).ceil() as u32;
         MpcConfig {
-            net_multiplier: 1.0 / 4096.0,
-            net_floor_coeff: 2.0,
-            ..Self::calibrated(delta)
+            delta,
+            clarkson: preset(r),
         }
     }
 
     /// The pass parameter `r = ⌈1/δ⌉` implied by δ.
     pub fn r(&self) -> u32 {
         (1.0 / self.delta).ceil() as u32
-    }
-
-    fn clarkson(&self) -> ClarksonConfig {
-        ClarksonConfig {
-            factor: llp_core::clarkson::WeightFactor::NthRoot { r: self.r() },
-            net_delta: self.net_delta,
-            net_multiplier: self.net_multiplier,
-            net_floor_coeff: self.net_floor_coeff,
-            failure_policy: self.failure_policy,
-            max_iterations: self.max_iterations,
-        }
     }
 }
 
@@ -119,10 +103,10 @@ impl Tree {
         (i > 0).then(|| (i - 1) / self.fanout)
     }
 
-    fn children(&self, i: usize) -> impl Iterator<Item = usize> + '_ {
-        let lo = i * self.fanout + 1;
-        let hi = (i * self.fanout + self.fanout).min(self.k.saturating_sub(1));
-        lo..=hi.max(lo.saturating_sub(1)).min(self.k.saturating_sub(1))
+    /// The children of machine `i`: `i·f + 1 ..= i·f + f`, cut at `k`.
+    fn children(&self, i: usize) -> std::ops::Range<usize> {
+        let first = i * self.fanout + 1;
+        first.min(self.k)..(first + self.fanout).min(self.k)
     }
 
     /// Depth of the tree (number of levels below the root).
@@ -208,7 +192,7 @@ pub fn solve_partitioned<P: ColumnarProblem, R: Rng>(
 /// Runs Algorithm 1 with machine `i` holding the rows of `machines[i]`
 /// — the entry point every other one funnels into. Each machine keeps
 /// its rows exactly once, inside its [`SiteWeights`] holder; the
-/// simulator only meters the load.
+/// tree topology only meters the load.
 ///
 /// # Panics
 /// Panics if `machines` is empty or holds no rows overall.
@@ -222,266 +206,173 @@ pub fn solve_columns<P: ColumnarProblem, R: Rng>(
     assert!(n > 0, "empty input");
     let k = machines.len();
     let fanout = ((n as f64).powf(cfg.delta).ceil() as usize).max(2);
-    let clarkson = cfg.clarkson();
-    let params = RunParams::derive(problem, n, &clarkson);
-
-    let mut sim = MpcSim::new(k);
-    let tree = Tree { k, fanout };
-    let depth = tree.depth();
-    // Persistent per-machine holders, updated incrementally from the
-    // violator lists each machine scans anyway — the basis verdicts
-    // broadcast down the tree keep every index in sync, and no round
-    // recomputes a weight from the basis history.
-    let mut machines: Vec<SiteWeights> = machines
-        .into_iter()
-        .map(|cols| SiteWeights::new(cols, params.factor))
-        .collect();
-
-    let mut stats = MpcStats {
+    let clarkson = ClarksonConfig {
+        factor: WeightFactor::NthRoot { r: cfg.r() },
+        ..cfg.clarkson
+    };
+    let mut topology = TreeTopology::new(Tree { k, fanout });
+    let (solution, progress) = drive(problem, machines, &clarkson, &mut topology, rng)?;
+    let meter = &topology.meter;
+    let stats = MpcStats {
+        rounds: meter.rounds(),
+        max_load_bits: meter.max_load_bits(),
+        total_load_bits: meter.total_load_bits(),
+        iterations: progress.iterations,
+        successful_iterations: progress.successful_iterations,
         k,
         fanout,
-        net_size: params.net_size,
-        ..MpcStats::default()
+        net_size: progress.net_size,
     };
-    let mut pending: Option<bool> = None;
-
-    let result = loop {
-        if stats.iterations >= params.max_iterations {
-            break Err(BigDataError::IterationLimit);
-        }
-        stats.iterations += 1;
-
-        // ---- Verdict broadcast (1 byte down the tree). ----
-        if let Some(accepted) = pending.take() {
-            broadcast_down(&mut sim, &tree, depth, 8);
-            for machine in &mut machines {
-                machine.resolve(accepted);
-            }
-        }
-
-        // ---- Subtree weights converge-cast (128 bits per edge). ----
-        let local_weights: Vec<ScaledF64> = machines.iter().map(SiteWeights::total).collect();
-        let subtree_weights = converge_sum(&mut sim, &tree, depth, &local_weights, 128);
-        let total_weight = subtree_weights[0];
-
-        // ---- Hierarchical multinomial split of the m draws; when the
-        // ε-net formula covers the whole input, every machine ships its
-        // full partition (a trivially valid net). ----
-        let take_all = params.net_size >= n;
-        let counts: Vec<u64> = if take_all {
-            machines.iter().map(|m| m.len() as u64).collect()
-        } else {
-            split_counts(
-                &mut sim,
-                &tree,
-                depth,
-                params.net_size as u64,
-                &local_weights,
-                &subtree_weights,
-                rng,
-            )
-        };
-
-        // ---- Samples to the root (one direct round). ----
-        sim.begin_round();
-        let mut net: Vec<P::Constraint> = Vec::with_capacity(params.net_size.min(n));
-        for (i, machine) in machines.iter_mut().enumerate() {
-            if counts[i] == 0 {
-                continue;
-            }
-            let sampled = if take_all {
-                machine.all_rows(problem, &mut net)
-            } else {
-                // Inversion draws straight off the machine's index.
-                machine.sample_rows(problem, counts[i] as usize, rng, &mut net)
-            };
-            if i != 0 {
-                sim.charge(i, 0, &RawBits(sampled as u64 * problem.constraint_bits()));
-            }
-        }
-        sim.end_round();
-
-        // ---- Root computes the basis. ----
-        let solution = problem
-            .solve_subset(&net, rng)
-            .map_err(BigDataError::from)?;
-
-        // ---- Basis broadcast down the tree. ----
-        broadcast_down(&mut sim, &tree, depth, problem.solution_bits());
-
-        // ---- Violator weights converge-cast. Each machine's fused
-        // violation-test + weight scan runs on the llp_par pool over its
-        // columns, reading weights off its index and staging the
-        // violator indices for the next verdict broadcast (the staged
-        // lists never travel). ----
-        let local_viol: Vec<(ScaledF64, usize)> = machines
-            .iter_mut()
-            .map(|m| m.scan_and_stage(problem, &solution))
-            .collect();
-        let viol_w: Vec<ScaledF64> = local_viol.iter().map(|v| v.0).collect();
-        let agg_w = converge_sum(&mut sim, &tree, depth, &viol_w, 192);
-        let w_violators = agg_w[0];
-        let violator_count: usize = local_viol.iter().map(|v| v.1).sum();
-
-        let success = w_violators.ratio(total_weight) <= params.eps;
-        if success {
-            if violator_count == 0 {
-                break Ok(solution);
-            }
-            stats.successful_iterations += 1;
-            pending = Some(true);
-        } else if clarkson.failure_policy == llp_core::clarkson::FailurePolicy::Abort {
-            break Err(BigDataError::NetFailure);
-        } else {
-            pending = Some(false);
-        }
-    };
-
-    stats.rounds = sim.meter.rounds();
-    stats.max_load_bits = sim.meter.max_load_bits();
-    stats.total_load_bits = sim.meter.total_load_bits();
-    result.map(|s| (s, stats))
+    Ok((solution, stats))
 }
 
-/// Broadcasts a payload of `bits` from the root to every machine, one tree
-/// level per round.
-fn broadcast_down(sim: &mut MpcSim, tree: &Tree, depth: usize, bits: u64) {
-    for l in 0..depth {
-        sim.begin_round();
-        for node in tree.level(l) {
-            for ch in tree.children(node) {
-                if ch < tree.k && ch != node {
-                    sim.charge(node, ch, &RawBits(bits));
+/// The MPC model's topology: machine 0 is the coordinator and every
+/// message travels over the `f`-ary [`Tree`], one level per round —
+/// except the sampled rows, which go straight to the root in one round.
+struct TreeTopology {
+    tree: Tree,
+    depth: usize,
+    meter: MpcMeter,
+    /// Each machine's own total weight, from the latest gather.
+    local: Vec<ScaledF64>,
+    /// Per-machine subtree sums of the latest converge-cast.
+    subtree: Vec<ScaledF64>,
+    /// Draws assigned to each subtree while splitting down the tree.
+    subtree_draws: Vec<u64>,
+    /// Multinomial bins of one node's split, reused across nodes.
+    bins: Vec<f64>,
+}
+
+impl TreeTopology {
+    fn new(tree: Tree) -> Self {
+        let k = tree.k;
+        TreeTopology {
+            depth: tree.depth(),
+            meter: MpcMeter::new(k),
+            local: vec![ScaledF64::ZERO; k],
+            subtree: vec![ScaledF64::ZERO; k],
+            subtree_draws: vec![0; k],
+            bins: Vec::with_capacity(tree.fanout + 1),
+            tree,
+        }
+    }
+
+    /// Broadcasts a payload of `bits` from the root to every machine, one
+    /// tree level per round.
+    fn broadcast_down(&mut self, bits: u64) {
+        for l in 0..self.depth {
+            self.meter.begin_round();
+            for node in self.tree.level(l) {
+                for child in self.tree.children(node) {
+                    self.meter.charge(node, child, bits);
                 }
             }
         }
-        sim.end_round();
     }
-}
 
-/// Converge-casts subtree sums toward the root: one tree level per round,
-/// bottom-up. Returns, for each node, the sum over its whole subtree.
-fn converge_sum(
-    sim: &mut MpcSim,
-    tree: &Tree,
-    depth: usize,
-    local: &[ScaledF64],
-    bits_per_msg: u64,
-) -> Vec<ScaledF64> {
-    let mut acc: Vec<ScaledF64> = local.to_vec();
-    for l in (1..=depth).rev() {
-        sim.begin_round();
-        for node in tree.level(l) {
-            if let Some(p) = tree.parent(node) {
-                sim.charge(node, p, &RawBits(bits_per_msg));
-                let v = acc[node];
-                acc[p] += v;
-            }
-        }
-        sim.end_round();
-    }
-    acc
-}
-
-/// Splits `m` multinomial draws down the tree: each node receives its
-/// subtree's count from its parent and partitions it among {its own local
-/// elements} ∪ {children subtrees} by weight.
-fn split_counts<R: Rng>(
-    sim: &mut MpcSim,
-    tree: &Tree,
-    depth: usize,
-    m: u64,
-    local: &[ScaledF64],
-    subtree: &[ScaledF64],
-    rng: &mut R,
-) -> Vec<u64> {
-    let k = local.len();
-    let mut subtree_count = vec![0u64; k];
-    let mut own_count = vec![0u64; k];
-    subtree_count[0] = m;
-    for l in 0..=depth {
-        let round_needed = l < depth;
-        if round_needed {
-            sim.begin_round();
-        }
-        for node in tree.level(l) {
-            if node >= k {
-                continue;
-            }
-            let c = subtree_count[node];
-            if c == 0 {
-                continue;
-            }
-            // Bins: own local weight + each child's subtree weight.
-            let children: Vec<usize> = tree
-                .children(node)
-                .filter(|&ch| ch < k && ch != node)
-                .collect();
-            if children.is_empty() {
-                own_count[node] = c;
-                continue;
-            }
-            let total = subtree[node];
-            if total.is_zero() {
-                own_count[node] = c;
-                continue;
-            }
-            let mut bins: Vec<f64> = Vec::with_capacity(children.len() + 1);
-            bins.push(local[node].ratio(total));
-            for &ch in &children {
-                bins.push(subtree[ch].ratio(total));
-            }
-            let split = llp_sampling::discrete::multinomial(c, &bins, rng);
-            own_count[node] = split[0];
-            for (j, &ch) in children.iter().enumerate() {
-                subtree_count[ch] = split[j + 1];
-                if round_needed {
-                    sim.charge(node, ch, &RawBits(64));
+    /// Converge-casts the values in `subtree` toward the root, one tree
+    /// level per round, bottom-up: afterwards each entry holds the sum
+    /// over that machine's whole subtree.
+    fn converge_sum(&mut self, bits_per_msg: u64) {
+        for l in (1..=self.depth).rev() {
+            self.meter.begin_round();
+            for node in self.tree.level(l) {
+                if let Some(p) = self.tree.parent(node) {
+                    self.meter.charge(node, p, bits_per_msg);
+                    let v = self.subtree[node];
+                    self.subtree[p] += v;
                 }
             }
         }
-        if round_needed {
-            sim.end_round();
-        }
     }
-    own_count
 }
 
-/// Raw bit payload for metering.
-struct RawBits(u64);
+impl Topology for TreeTopology {
+    /// The verdict (1 byte) broadcast down the tree, then the machines'
+    /// weights converge-cast up (128 bits per edge).
+    fn gather_totals(&mut self, machines: &[SiteWeights], verdict: bool) -> ScaledF64 {
+        if verdict {
+            self.broadcast_down(8);
+        }
+        for (i, machine) in machines.iter().enumerate() {
+            self.local[i] = machine.total();
+        }
+        self.subtree.copy_from_slice(&self.local);
+        self.converge_sum(128);
+        self.subtree[0]
+    }
 
-impl llp_models::cost::BitCost for RawBits {
-    fn bits(&self) -> u64 {
-        self.0
+    /// The hierarchical multinomial split of the `m` draws (`D` rounds,
+    /// 64 bits per edge): each node receives its subtree's count from its
+    /// parent and splits it among its own rows and its children's
+    /// subtrees by weight — an exact multinomial overall. Then opens the
+    /// round in which the rows go to the root.
+    fn split_draws<R: Rng>(&mut self, draws: Option<u64>, rng: &mut R, counts: &mut Vec<u64>) {
+        if let Some(m) = draws {
+            counts.clear();
+            counts.resize(self.tree.k, 0);
+            self.subtree_draws.fill(0);
+            self.subtree_draws[0] = m;
+            for l in 0..=self.depth {
+                if l < self.depth {
+                    self.meter.begin_round();
+                }
+                for node in self.tree.level(l) {
+                    let c = self.subtree_draws[node];
+                    if c == 0 {
+                        continue;
+                    }
+                    let children = self.tree.children(node);
+                    let total = self.subtree[node];
+                    if children.is_empty() || total.is_zero() {
+                        counts[node] = c;
+                        continue;
+                    }
+                    self.bins.clear();
+                    self.bins.push(self.local[node].ratio(total));
+                    for child in children.clone() {
+                        self.bins.push(self.subtree[child].ratio(total));
+                    }
+                    let split = llp_sampling::discrete::multinomial(c, &self.bins, rng);
+                    counts[node] = split[0];
+                    for (child, &share) in children.zip(&split[1..]) {
+                        self.subtree_draws[child] = share;
+                        self.meter.charge(node, child, 64);
+                    }
+                }
+            }
+        }
+        self.meter.begin_round();
+    }
+
+    /// Machine 0 is the root: its own rows never travel.
+    fn ship_rows(&mut self, i: usize, bits: u64) {
+        if i != 0 {
+            self.meter.charge(i, 0, bits);
+        }
+    }
+
+    fn broadcast_basis(&mut self, bits: u64) {
+        self.broadcast_down(bits);
+    }
+
+    /// The violator weights converge-cast up: `w(V_i)` plus the count,
+    /// 192 bits per edge.
+    fn gather_violators(&mut self, local: &[ScaledF64]) -> ScaledF64 {
+        self.subtree.copy_from_slice(local);
+        self.converge_sum(192);
+        self.subtree[0]
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use llp_core::instances::lp::LpProblem;
     use llp_core::lptype::{count_violations, LpTypeProblem};
     use llp_geom::Halfspace;
-    use llp_num::linalg::norm;
+    use llp_workloads::lp::random_lp;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-
-    fn random_lp(n: usize, d: usize, seed: u64) -> (LpProblem, Vec<Halfspace>) {
-        let mut r = StdRng::seed_from_u64(seed);
-        use rand::Rng;
-        let mut cs = Vec::with_capacity(n);
-        while cs.len() < n {
-            let mut a: Vec<f64> = (0..d).map(|_| r.random_range(-1.0..1.0)).collect();
-            let nn = norm(&a);
-            if nn < 1e-6 {
-                continue;
-            }
-            a.iter_mut().for_each(|v| *v /= nn);
-            cs.push(Halfspace::new(a, 1.0));
-        }
-        let c: Vec<f64> = (0..d).map(|_| r.random_range(-1.0..1.0)).collect();
-        (LpProblem::new(c), cs)
-    }
 
     #[test]
     fn tree_structure_sane() {

@@ -17,11 +17,11 @@
 //!   end of the pass. Reservoir sampling is without replacement, which
 //!   only improves ε-net coverage (ablation A2).
 
-use crate::common::{RunParams, WeightOracle};
+use crate::common::WeightOracle;
 use crate::ooc::{ChunkSource, SliceSource};
 use crate::BigDataError;
 use llp_core::lptype::{ColumnarProblem, LpTypeProblem};
-use llp_core::ClarksonConfig;
+use llp_core::{ClarksonConfig, RunParams};
 use llp_models::streaming::{SpaceMeter, StreamSession};
 use llp_num::ScaledF64;
 use llp_sampling::reservoir::WeightedReservoir;
@@ -146,7 +146,7 @@ fn run_two_pass<P: ColumnarProblem, S: ChunkSource, R: Rng>(
         source.begin_pass()?;
         let mut net: Vec<P::Constraint> = Vec::new();
         if params.net_size >= n {
-            space.alloc_raw(n as u64 * cbits, n as u64);
+            space.alloc(n as u64 * cbits, n as u64);
             while let Some((_, chunk)) = source.next_chunk()? {
                 for i in 0..chunk.len() {
                     let extra = chunk.row(i, &mut coords);
@@ -156,7 +156,7 @@ fn run_two_pass<P: ColumnarProblem, S: ChunkSource, R: Rng>(
         } else {
             // Sorted uniform targets in [0, W); the sampler state is m
             // 128-bit scaled values.
-            space.alloc_raw(params.net_size as u64 * 128, params.net_size as u64);
+            space.alloc(params.net_size as u64 * 128, params.net_size as u64);
             let mut sampler = SortedTargetSampler::new(params.net_size, total_weight, rng);
             // The last streamed element, iff it is not already in the net
             // (a streaming algorithm may always hold the current element).
@@ -167,7 +167,7 @@ fn run_two_pass<P: ColumnarProblem, S: ChunkSource, R: Rng>(
                     let c = problem.from_row(&coords, extra);
                     let hits = sampler.feed(oracle.weight(problem, &c));
                     if hits > 0 {
-                        space.alloc_raw(cbits, 1);
+                        space.alloc(cbits, 1);
                         net.push(c);
                         tail = None;
                     } else {
@@ -182,18 +182,18 @@ fn run_two_pass<P: ColumnarProblem, S: ChunkSource, R: Rng>(
             // half-open tail interval) so the net never silently shrinks.
             if sampler.finish() > 0 {
                 if let Some(c) = tail {
-                    space.alloc_raw(cbits, 1);
+                    space.alloc(cbits, 1);
                     net.push(c);
                 }
             }
-            space.free_raw(params.net_size as u64 * 128, params.net_size as u64);
+            space.free(params.net_size as u64 * 128, params.net_size as u64);
         }
 
         // ---- Basis of the net (local computation). ----
         let solution = problem
             .solve_subset(&net, rng)
             .map_err(BigDataError::from)?;
-        space.free_raw(net.len() as u64 * cbits, net.len() as u64);
+        space.free(net.len() as u64 * cbits, net.len() as u64);
         drop(net);
 
         // ---- Pass 2: violation test + exact new total weight. ----
@@ -223,7 +223,7 @@ fn run_two_pass<P: ColumnarProblem, S: ChunkSource, R: Rng>(
             }
             stats.successful_iterations += 1;
             total_weight += w_violators * ScaledF64::from_f64(params.factor - 1.0);
-            space.alloc_raw(problem.solution_bits(), 1);
+            space.alloc(problem.solution_bits(), 1);
             oracle.push(solution);
         } else if cfg.failure_policy == llp_core::clarkson::FailurePolicy::Abort {
             // Remark 3.6: the Monte-Carlo variant reports failure instead
@@ -256,7 +256,7 @@ fn run_one_pass<P: LpTypeProblem, R: Rng>(
     let reservoir_bits = m as u64 * (cbits + 64);
 
     // ---- Initial pass: draw the first net (all weights are 1). ----
-    session.space.alloc_raw(reservoir_bits, m as u64);
+    session.space.alloc(reservoir_bits, m as u64);
     let mut reservoir = WeightedReservoir::new(m);
     for c in session.pass() {
         reservoir.offer(c.clone(), ScaledF64::ONE, rng);
@@ -266,13 +266,13 @@ fn run_one_pass<P: LpTypeProblem, R: Rng>(
     let mut pending = problem
         .solve_subset(&net, rng)
         .map_err(BigDataError::from)?;
-    session.space.free_raw(reservoir_bits, m as u64);
+    session.space.free(reservoir_bits, m as u64);
     drop(net);
 
     while stats.iterations < params.max_iterations {
         // ---- Combined pass: violation-test `pending` while sampling the
         // next net under both outcomes. ----
-        session.space.alloc_raw(2 * reservoir_bits, 2 * m as u64);
+        session.space.alloc(2 * reservoir_bits, 2 * m as u64);
         let mut res_accept = WeightedReservoir::new(m);
         let mut res_reject = WeightedReservoir::new(m);
         let mut w_violators = ScaledF64::ZERO;
@@ -294,12 +294,12 @@ fn run_one_pass<P: LpTypeProblem, R: Rng>(
         let success = w_violators.ratio(total_weight) <= params.eps;
         let net = if success {
             if violator_count == 0 {
-                session.space.free_raw(2 * reservoir_bits, 2 * m as u64);
+                session.space.free(2 * reservoir_bits, 2 * m as u64);
                 return Ok((pending, stats));
             }
             stats.successful_iterations += 1;
             total_weight += w_violators * ScaledF64::from_f64(params.factor - 1.0);
-            session.space.alloc_raw(problem.solution_bits(), 1);
+            session.space.alloc(problem.solution_bits(), 1);
             oracle.push(pending);
             res_accept.into_items()
         } else {
@@ -313,7 +313,7 @@ fn run_one_pass<P: LpTypeProblem, R: Rng>(
         pending = problem
             .solve_subset(&net, rng)
             .map_err(BigDataError::from)?;
-        session.space.free_raw(2 * reservoir_bits, 2 * m as u64);
+        session.space.free(2 * reservoir_bits, 2 * m as u64);
     }
     Err(BigDataError::IterationLimit)
 }
@@ -321,30 +321,11 @@ fn run_one_pass<P: LpTypeProblem, R: Rng>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use llp_core::instances::lp::LpProblem;
     use llp_core::instances::meb::MebProblem;
     use llp_core::lptype::count_violations;
-    use llp_geom::Halfspace;
-    use llp_num::linalg::norm;
+    use llp_workloads::lp::random_lp;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-
-    fn random_lp(n: usize, d: usize, seed: u64) -> (LpProblem, Vec<Halfspace>) {
-        let mut r = StdRng::seed_from_u64(seed);
-        use rand::Rng;
-        let mut cs = Vec::with_capacity(n);
-        while cs.len() < n {
-            let mut a: Vec<f64> = (0..d).map(|_| r.random_range(-1.0..1.0)).collect();
-            let nn = norm(&a);
-            if nn < 1e-6 {
-                continue;
-            }
-            a.iter_mut().for_each(|v| *v /= nn);
-            cs.push(Halfspace::new(a, 1.0));
-        }
-        let c: Vec<f64> = (0..d).map(|_| r.random_range(-1.0..1.0)).collect();
-        (LpProblem::new(c), cs)
-    }
 
     #[test]
     fn two_pass_solves_and_counts_passes() {

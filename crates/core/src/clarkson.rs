@@ -28,7 +28,7 @@
 //! instead recomputes weights from the stored bases under its space
 //! bound, see Section 3.2.)
 
-use crate::lptype::{ColumnarProblem, SolveError};
+use crate::lptype::{ColumnarProblem, LpTypeProblem, SolveError};
 use llp_geom::ConstraintColumns;
 use llp_num::ScaledF64;
 use llp_sampling::weight_index::WeightIndex;
@@ -142,6 +142,36 @@ impl ClarksonConfig {
             net_multiplier: 1.0 / 4096.0,
             net_floor_coeff: 2.0,
             ..Self::paper(r)
+        }
+    }
+}
+
+/// The per-run parameters of Algorithm 1 for an input of `n`
+/// constraints, derived once from a [`ClarksonConfig`]: Line 1's `F` and
+/// `ε`, and the Eq. (1) net size. The RAM solver and all three big data
+/// models read them from here.
+#[derive(Clone, Copy, Debug)]
+pub struct RunParams {
+    /// Weight factor `F`.
+    pub factor: f64,
+    /// `ε = 1/(10νF)`.
+    pub eps: f64,
+    /// ε-net size `m` (clamped to `n`).
+    pub net_size: usize,
+    /// Iteration cap.
+    pub max_iterations: usize,
+}
+
+impl RunParams {
+    /// Derives the parameters for `problem` over `n` constraints.
+    pub fn derive<P: LpTypeProblem>(problem: &P, n: usize, cfg: &ClarksonConfig) -> Self {
+        let nu = problem.combinatorial_dim();
+        let factor = cfg.factor.value(n);
+        RunParams {
+            factor,
+            eps: 1.0 / (10.0 * nu as f64 * factor),
+            net_size: cfg.net_size(n, nu, problem.vc_dim()),
+            max_iterations: cfg.max_iterations,
         }
     }
 }
@@ -286,11 +316,12 @@ pub fn solve_with_scratch<P: ColumnarProblem, R: Rng>(
         "columns/constraints length mismatch"
     );
     let n = constraints.len();
-    let nu = problem.combinatorial_dim();
-    let lambda = problem.vc_dim();
-    let factor = cfg.factor.value(n);
-    let eps = 1.0 / (10.0 * nu as f64 * factor);
-    let m = cfg.net_size(n, nu, lambda);
+    let RunParams {
+        factor,
+        eps,
+        net_size: m,
+        max_iterations,
+    } = RunParams::derive(problem, n, cfg);
 
     let mut stats = ClarksonStats {
         net_size: m,
@@ -313,7 +344,7 @@ pub fn solve_with_scratch<P: ColumnarProblem, R: Rng>(
         scratch.net_pool.resize(m, constraints[0].clone());
     }
 
-    while stats.iterations < cfg.max_iterations {
+    while stats.iterations < max_iterations {
         stats.iterations += 1;
 
         // --- Sample the ε-net with probability proportional to weight:
@@ -412,6 +443,16 @@ mod tests {
         );
         let c: Vec<f64> = (0..d).map(|_| r.random_range(-1.0..1.0)).collect();
         (LpProblem::new(c), cs)
+    }
+
+    #[test]
+    fn run_params_match_formulas() {
+        let p = LpProblem::new(vec![1.0, 1.0]);
+        let params = RunParams::derive(&p, 10_000, &ClarksonConfig::paper(2));
+        assert!((params.factor - 100.0).abs() < 1e-9);
+        assert!((params.eps - 1.0 / 3000.0).abs() < 1e-12);
+        assert!(params.net_size <= 10_000);
+        assert_eq!(params.max_iterations, 10_000);
     }
 
     #[test]

@@ -25,6 +25,6 @@ pub mod lptype;
 
 pub use clarkson::{
     solve as clarkson_solve, solve_with_scratch as clarkson_solve_with_scratch, ClarksonConfig,
-    ClarksonOutcome, ClarksonStats, SolveScratch,
+    ClarksonOutcome, ClarksonStats, RunParams, SolveScratch,
 };
 pub use lptype::{ColumnarProblem, LpTypeProblem, SolveError};

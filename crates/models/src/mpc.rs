@@ -2,42 +2,71 @@
 //!
 //! `k` machines hold partitions; computation proceeds in BSP rounds; the
 //! figure of merit is the *load* — the maximum bits any machine sends or
-//! receives in a round. [`MpcSim`] meters exactly that. The `n^δ`-ary
+//! receives in a round. [`MpcMeter`] meters exactly that. The `n^δ`-ary
 //! broadcast / converge-cast trees of Goodrich–Sitchinava–Zhang \[23\]
 //! that Theorem 3 routes its traffic over live with the algorithm
 //! (`llp_bigdata::mpc`), which charges each tree edge here.
 
-use crate::cost::BitCost;
-
-/// Load statistics of an MPC run.
-#[derive(Clone, Debug, Default)]
+/// Load meter of an MPC run over `k` machines.
+#[derive(Clone, Debug)]
 pub struct MpcMeter {
     rounds: u64,
-    /// Max over machines of bits sent+received, per round.
-    per_round_max_load: Vec<u64>,
-    /// Current round's per-machine load.
+    /// Max per-machine load over the closed rounds.
+    max_load: u64,
+    /// Sum over the closed rounds of each round's max per-machine load.
+    total_load: u64,
+    /// The open round's per-machine load (bits sent + received).
     current: Vec<u64>,
 }
 
 impl MpcMeter {
-    /// Completed round count (including the one in progress).
+    /// A meter over `k` machines.
+    ///
+    /// # Panics
+    /// Panics if `k == 0`.
+    pub fn new(k: usize) -> Self {
+        assert!(k >= 1, "need at least one machine");
+        MpcMeter {
+            rounds: 0,
+            max_load: 0,
+            total_load: 0,
+            current: vec![0; k],
+        }
+    }
+
+    /// Starts a BSP round, closing the previous one.
+    pub fn begin_round(&mut self) {
+        let load = self.current_load();
+        self.max_load = self.max_load.max(load);
+        self.total_load += load;
+        self.current.fill(0);
+        self.rounds += 1;
+    }
+
+    /// Charges a point-to-point message of `bits` bits from machine
+    /// `from` to machine `to` in the current round.
+    ///
+    /// # Panics
+    /// Panics if called before any [`begin_round`](Self::begin_round) or
+    /// with out-of-range ids.
+    pub fn charge(&mut self, from: usize, to: usize, bits: u64) {
+        assert!(self.rounds > 0, "charge outside a round");
+        self.current[from] += bits;
+        self.current[to] += bits;
+    }
+
+    fn current_load(&self) -> u64 {
+        self.current.iter().copied().max().unwrap_or(0)
+    }
+
+    /// Round count (including the one in progress).
     pub fn rounds(&self) -> u64 {
         self.rounds
     }
 
     /// The model's cost: the maximum per-machine load over all rounds.
     pub fn max_load_bits(&self) -> u64 {
-        self.per_round_max_load
-            .iter()
-            .copied()
-            .max()
-            .unwrap_or(0)
-            .max(self.current.iter().copied().max().unwrap_or(0))
-    }
-
-    /// Per-round maximum loads (completed rounds).
-    pub fn per_round_max_load(&self) -> &[u64] {
-        &self.per_round_max_load
+        self.max_load.max(self.current_load())
     }
 
     /// Sum over rounds of the per-round maximum load: the aggregate
@@ -45,68 +74,7 @@ impl MpcMeter {
     /// `MpcStats::total_load_bits` next to
     /// [`max_load_bits`](Self::max_load_bits).
     pub fn total_load_bits(&self) -> u64 {
-        self.per_round_max_load.iter().sum::<u64>()
-            + self.current.iter().copied().max().unwrap_or(0)
-    }
-}
-
-/// The MPC simulator: a load meter over `k` machines. It holds no
-/// constraint data — each machine's partition lives with the algorithm
-/// that runs on it — and sees only the messages between machines.
-#[derive(Debug)]
-pub struct MpcSim {
-    k: usize,
-    /// Load meter.
-    pub meter: MpcMeter,
-}
-
-impl MpcSim {
-    /// A meter over `k` machines.
-    ///
-    /// # Panics
-    /// Panics if `k == 0`.
-    pub fn new(k: usize) -> Self {
-        assert!(k >= 1, "need at least one machine");
-        MpcSim {
-            k,
-            meter: MpcMeter::default(),
-        }
-    }
-
-    /// Number of machines.
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
-    /// Starts a BSP round.
-    pub fn begin_round(&mut self) {
-        if !self.meter.current.is_empty() {
-            let max = self.meter.current.iter().copied().max().unwrap_or(0);
-            self.meter.per_round_max_load.push(max);
-        }
-        self.meter.rounds += 1;
-        self.meter.current = vec![0; self.k];
-    }
-
-    /// Finalizes the last round (optional; `begin_round` also rolls over).
-    pub fn end_round(&mut self) {
-        if !self.meter.current.is_empty() {
-            let max = self.meter.current.iter().copied().max().unwrap_or(0);
-            self.meter.per_round_max_load.push(max);
-            self.meter.current = vec![0; self.k];
-        }
-    }
-
-    /// Charges a point-to-point message of `payload` from machine `from`
-    /// to machine `to` in the current round.
-    ///
-    /// # Panics
-    /// Panics if called before `begin_round` or with out-of-range ids.
-    pub fn charge<T: BitCost + ?Sized>(&mut self, from: usize, to: usize, payload: &T) {
-        assert!(!self.meter.current.is_empty(), "charge outside a round");
-        let b = payload.bits();
-        self.meter.current[from] += b;
-        self.meter.current[to] += b;
+        self.total_load + self.current_load()
     }
 }
 
@@ -116,26 +84,29 @@ mod tests {
 
     #[test]
     fn load_totals_span_rounds() {
-        let mut sim = MpcSim::new(2);
-        assert_eq!(sim.k(), 2);
-        sim.begin_round();
-        sim.charge(0, 1, &1u64); // 64 bits on both
-        sim.end_round();
-        sim.begin_round();
-        sim.charge(1, 0, &1u32); // 32 bits
-        sim.end_round();
-        assert_eq!(sim.meter.max_load_bits(), 64);
-        assert_eq!(sim.meter.total_load_bits(), 96);
+        let mut meter = MpcMeter::new(2);
+        meter.begin_round();
+        meter.charge(0, 1, 64); // 64 bits on both
+        meter.begin_round();
+        meter.charge(1, 0, 32);
+        assert_eq!(meter.rounds(), 2);
+        assert_eq!(meter.max_load_bits(), 64);
+        assert_eq!(meter.total_load_bits(), 96);
     }
 
     #[test]
     fn load_is_max_over_machines() {
-        let mut sim = MpcSim::new(4);
-        sim.begin_round();
-        sim.charge(0, 1, &vec![0.0f64; 10]); // 640 bits on 0 and 1
-        sim.charge(2, 1, &1u64); // 64 more on 1
-        sim.end_round();
-        assert_eq!(sim.meter.max_load_bits(), 704);
-        assert_eq!(sim.meter.per_round_max_load(), &[704]);
+        let mut meter = MpcMeter::new(4);
+        meter.begin_round();
+        meter.charge(0, 1, 640); // on 0 and 1
+        meter.charge(2, 1, 64); // 64 more on 1
+        assert_eq!(meter.max_load_bits(), 704);
+        assert_eq!(meter.total_load_bits(), 704);
+    }
+
+    #[test]
+    #[should_panic(expected = "charge outside a round")]
+    fn charging_outside_round_panics() {
+        MpcMeter::new(1).charge(0, 0, 8);
     }
 }

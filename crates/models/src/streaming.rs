@@ -7,8 +7,6 @@
 //! so the reported peak is the honest `O(λ·n^{1/r}·ν + ν²)·bit(S)` of
 //! Theorem 1.
 
-use crate::cost::BitCost;
-
 /// Tracks current and peak retained memory, in bits and items.
 #[derive(Clone, Debug, Default)]
 pub struct SpaceMeter {
@@ -24,26 +22,16 @@ impl SpaceMeter {
         Self::default()
     }
 
-    /// Registers a stored value.
-    pub fn alloc<T: BitCost + ?Sized>(&mut self, value: &T) {
-        self.alloc_raw(value.bits(), 1);
-    }
-
     /// Registers `items` stored items of `bits` total size.
-    pub fn alloc_raw(&mut self, bits: u64, items: u64) {
+    pub fn alloc(&mut self, bits: u64, items: u64) {
         self.current_bits += bits;
         self.current_items += items;
         self.peak_bits = self.peak_bits.max(self.current_bits);
         self.peak_items = self.peak_items.max(self.current_items);
     }
 
-    /// Releases a previously registered value.
-    pub fn free<T: BitCost + ?Sized>(&mut self, value: &T) {
-        self.free_raw(value.bits(), 1);
-    }
-
-    /// Releases raw bits/items.
-    pub fn free_raw(&mut self, bits: u64, items: u64) {
+    /// Releases `items` items of `bits` total size.
+    pub fn free(&mut self, bits: u64, items: u64) {
         self.current_bits = self.current_bits.saturating_sub(bits);
         self.current_items = self.current_items.saturating_sub(items);
     }
@@ -126,12 +114,10 @@ mod tests {
     #[test]
     fn space_meter_tracks_peak() {
         let mut m = SpaceMeter::new();
-        let v1 = vec![0.0f64; 10]; // 640 bits
-        let v2 = vec![0.0f64; 5]; // 320 bits
-        m.alloc(&v1);
-        m.alloc(&v2);
+        m.alloc(640, 1);
+        m.alloc(320, 1);
         assert_eq!(m.current_bits(), 960);
-        m.free(&v1);
+        m.free(640, 1);
         assert_eq!(m.current_bits(), 320);
         assert_eq!(m.peak_bits(), 960);
         assert_eq!(m.peak_items(), 2);
@@ -140,8 +126,8 @@ mod tests {
     #[test]
     fn free_saturates() {
         let mut m = SpaceMeter::new();
-        m.alloc_raw(100, 1);
-        m.free_raw(500, 5);
+        m.alloc(100, 1);
+        m.free(500, 5);
         assert_eq!(m.current_bits(), 0);
     }
 }

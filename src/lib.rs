@@ -12,8 +12,8 @@
 //!   Algorithm 1 (the ε-net Clarkson meta-algorithm) in RAM.
 //! * [`bigdata`] — Algorithm 1 in the multi-pass streaming, coordinator,
 //!   and MPC models (Theorems 1–3).
-//! * [`models`] — the model simulators with pass/space/communication/load
-//!   accounting.
+//! * [`models`] — the models' resource meters: passes and space,
+//!   communication, and per-machine load, each charged in bits.
 //! * [`solver`] — the low-dimensional basis solvers (Seidel LP,
 //!   lexicographic refinement, simplex, active-set SVM QP, Welzl MEB,
 //!   exact rational 2-D LP).
